@@ -87,7 +87,8 @@ def lambda_interval(bounds, slack=None) -> LambdaInterval:
     lo = -1.0 / upper + slack
     hi = -1.0 / lower - slack
     if not lo < hi:
-        raise ValueError(f"slack {slack!r} empties the betting interval")
+        raise ValueError(
+            f"slack {slack!r} empties the betting interval for estimates in [{lower!r}, {upper!r}]")
     return LambdaInterval(lo, hi, slack)
 
 
@@ -116,6 +117,20 @@ class ConstantBettor:
         return self.lam
 
 
+def _check_estimate(o_hat: float, o_bounds) -> None:
+    lower, upper = o_bounds
+    if not lower - 1e-9 <= o_hat <= upper + 1e-9:
+        raise ValueError(f"estimate {o_hat!r} outside the declared range [{lower!r}, {upper!r}]")
+
+
+def _up_bets(log_wealth: np.ndarray, grid: np.ndarray):
+    """Universal-portfolio bet per row of log-wealth: the grid averaged
+    with softmax(log_wealth) weights."""
+    shift = log_wealth.max(axis=-1, keepdims=True)
+    w = np.exp(log_wealth - shift)
+    return (w @ grid) / w.sum(axis=-1)
+
+
 class UPExpert:
     """Discretized universal-portfolio bettor.
 
@@ -124,31 +139,19 @@ class UPExpert:
     regret plus the grid gap.
     """
 
-    def __init__(self, interval: LambdaInterval, start_time: int = 1, o_bounds=None, k: int = UP_GRID_SIZE):
+    def __init__(self, interval: LambdaInterval, o_bounds=None, k: int = UP_GRID_SIZE):
         self.interval = interval
-        self.start_time = int(start_time)
-        if self.start_time < 1:
-            raise ValueError("start_time must be >= 1")
         self.o_bounds = None if o_bounds is None else _bounds_pair(o_bounds)
         self.grid = chebyshev_grid(interval, k)
-        self.prior_weights = np.full(k, 1.0 / k)
         self.log_wealth = np.zeros(k)
 
     def bet(self) -> float:
-        shift = self.log_wealth.max()
-        w = self.prior_weights * np.exp(self.log_wealth - shift)
-        return float((w @ self.grid) / w.sum())
+        return float(_up_bets(self.log_wealth, self.grid))
 
     def update(self, o_hat: float) -> None:
-        self._check_estimate(o_hat)
+        if self.o_bounds is not None:
+            _check_estimate(o_hat, self.o_bounds)
         self.log_wealth += np.log1p(self.grid * o_hat)
-
-    def _check_estimate(self, o_hat: float) -> None:
-        if self.o_bounds is None:
-            return
-        lower, upper = self.o_bounds
-        if not lower - 1e-9 <= o_hat <= upper + 1e-9:
-            raise ValueError(f"estimate {o_hat!r} outside the declared range [{lower!r}, {upper!r}]")
 
 
 def covering_intervals(t: int):
@@ -228,9 +231,7 @@ class CBCEBettor:
         return self._bet()
 
     def _absorb(self, o_hat: float) -> None:
-        lower, upper = self.o_bounds
-        if not lower - 1e-9 <= o_hat <= upper + 1e-9:
-            raise ValueError(f"estimate {o_hat!r} outside the declared range [{lower!r}, {upper!r}]")
+        _check_estimate(o_hat, self.o_bounds)
         scale = 2.0 * self.loss_bound
         meta_loss = -math.log1p(self.last_lam * o_hat)
         for entry in self.entries:
@@ -259,9 +260,7 @@ class CBCEBettor:
             1.0 / (e.t1 * e.t1 * (1 + int(math.log2(e.t1)))) for e in self.entries
         ])
         prior /= prior.sum()
-        shift = self._log_wealth.max(axis=1, keepdims=True)
-        w = np.exp(self._log_wealth - shift)
-        lams = (w @ self.grid) / w.sum(axis=1)
+        lams = _up_bets(self._log_wealth, self.grid)
         raw = np.empty(len(self.entries))
         for i, entry in enumerate(self.entries):
             entry.beta = entry.sum_g / (entry.rounds + 1)
@@ -293,6 +292,16 @@ def _growth_grid(interval: LambdaInterval, grid_size: int) -> np.ndarray:
     return grid
 
 
+def growth_curve(probs, values, interval: LambdaInterval, grid_size: int = GROWTH_GRID_SIZE):
+    """Expected log-growth E[log(1 + lam * o)] of each bet on the growth grid.
+
+    ``values`` are the finitely many outcomes of o and ``probs`` their
+    probabilities.  Returns (grid, curve).
+    """
+    grid = _growth_grid(interval, grid_size)
+    return grid, probs @ np.log1p(values[:, None] * grid[None, :])
+
+
 def estimate_growth_rate(
     rho1,
     observables,
@@ -317,18 +326,16 @@ def estimate_growth_rate(
     if bounds_mode == "auto":
         bounds_mode = "exhaustive" if enumerable else "analytic"
 
-    grids = []
-    for obs in observables:
-        bounds = estimator_bounds(obs, kind, mode=bounds_mode)
-        grids.append(_growth_grid(lambda_interval(bounds, slack), grid_size))
+    intervals = [lambda_interval(estimator_bounds(obs, kind, mode=bounds_mode), slack)
+                 for obs in observables]
 
     n = len(observables)
     if enumerable:
         probs, values = outcome_distribution(rho1, observables, kind)
-        curves = [
-            probs @ np.log1p(values[:, [i]] * grids[i][None, :]) for i in range(n)
-        ]
+        grids, curves = zip(*(growth_curve(probs, values[:, i], intervals[i], grid_size)
+                              for i in range(n)))
     else:
+        grids = [_growth_grid(iv, grid_size) for iv in intervals]
         rng = np.random.default_rng(rng)
         sums = [np.zeros(grid_size) for _ in range(n)]
         done = 0

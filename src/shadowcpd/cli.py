@@ -198,12 +198,11 @@ def _cmd_growth(args):
     scenario = _load_scenario(args.scenario)
     if scenario.nu is None:
         raise SystemExit2("growth requires a scenario with a finite changepoint (post-change state)")
-    rho1 = qcore.make_theta_state(scenario.d, scenario.theta1)
-    observables = harness.build_observables(scenario)
-    est = betting.estimate_growth_rate(
-        rho1, observables, scenario.ensemble,
-        shots=args.shots, rng=args.seed, bounds_mode=scenario.bounds_mode,
-    )
+    try:
+        est = harness.scenario_growth(scenario, shots=args.shots, rng=args.seed)
+    except ValueError as exc:
+        # the observables, slack or bounds mode admit no betting interval
+        raise SystemExit2(str(exc))
     doc = {
         "d_star": est.d_star,
         "i_star": est.i_star,
@@ -264,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
+    except (SystemExit2, harness.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,54 +26,6 @@ _EXP_MAX = 709.0  # largest safe argument to math.exp
 SR = "sr"
 CUSUM = "cusum"
 
-CONTINUE = "continue"
-STOP = "stop"
-
-
-def _to_linear(m: float, log_off: float) -> float:
-    if log_off == 0.0:
-        return m
-    if m == 0.0:
-        return 0.0
-    x = math.log(m) + log_off
-    return math.exp(x) if x < _EXP_MAX else math.inf
-
-
-def _to_log(m: float, log_off: float) -> float:
-    if m == 0.0:
-        return -math.inf
-    return math.log(m) + log_off
-
-
-@dataclass
-class PerObservableState:
-    """SR and CUSUM statistics for a single observable.
-
-    The tracked value is m * exp(log_off); promotion keeps the mantissa
-    below ``PROMOTE_AT`` so long products of multipliers remain finite.
-    Fresh states start at zero with zero offset.
-    """
-
-    m_sr: float = 0.0
-    m_cu: float = 0.0
-    log_off_sr: float = 0.0
-    log_off_cu: float = 0.0
-
-    def sr_statistic(self) -> float:
-        return _to_linear(self.m_sr, self.log_off_sr)
-
-    def cusum_statistic(self) -> float:
-        return _to_linear(self.m_cu, self.log_off_cu)
-
-    def log_sr_statistic(self) -> float:
-        return _to_log(self.m_sr, self.log_off_sr)
-
-    def log_cusum_statistic(self) -> float:
-        return _to_log(self.m_cu, self.log_off_cu)
-
-    def copy(self) -> "PerObservableState":
-        return PerObservableState(self.m_sr, self.m_cu, self.log_off_sr, self.log_off_cu)
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -111,15 +63,6 @@ class DetectorConfig:
         return 1.0 / self.alpha
 
 
-@dataclass(frozen=True)
-class DetectorOutput:
-    """Mixture value, continue/stop decision, and state snapshots."""
-
-    mixture: float
-    decision: str
-    per_obs: tuple
-
-
 def uniform_weights(n: int) -> tuple:
     if n < 1:
         raise ValueError("need at least one observable")
@@ -141,43 +84,6 @@ def baseline_increment(lam: float, o_hat: float, lam_bounds=None) -> float:
     if not incr > 0.0:
         raise ValueError(f"nonpositive capital multiplier {incr!r} from lam={lam!r}, o_hat={o_hat!r}")
     return incr
-
-
-def sr_update(state: PerObservableState, incr: float) -> PerObservableState:
-    """Shiryaev-Roberts recursion m <- L * (m + 1), in place."""
-    if not incr > 0.0:
-        raise ValueError(f"capital multiplier must be positive, got {incr!r}")
-    state.m_sr = incr * (state.m_sr + math.exp(-state.log_off_sr))
-    while state.m_sr > PROMOTE_AT:
-        state.m_sr /= PROMOTE_AT
-        state.log_off_sr += _LOG_PROMOTE
-    return state
-
-
-def cusum_update(state: PerObservableState, incr: float) -> PerObservableState:
-    """CUSUM recursion m <- L * max(m, 1), in place."""
-    if not incr > 0.0:
-        raise ValueError(f"capital multiplier must be positive, got {incr!r}")
-    state.m_cu = incr * max(state.m_cu, math.exp(-state.log_off_cu))
-    while state.m_cu > PROMOTE_AT:
-        state.m_cu /= PROMOTE_AT
-        state.log_off_cu += _LOG_PROMOTE
-    return state
-
-
-def mixture_statistic(config: DetectorConfig, per_obs) -> float:
-    """Weighted mixture of the configured statistic across observables."""
-    if len(per_obs) != config.n_observables:
-        raise ValueError(f"expected {config.n_observables} states, got {len(per_obs)}")
-    if config.kind == SR:
-        pairs = [(s.m_sr, s.log_off_sr) for s in per_obs]
-    else:
-        pairs = [(s.m_cu, s.log_off_cu) for s in per_obs]
-    if all(off == 0.0 for _, off in pairs):
-        return sum(w * m for w, (m, _) in zip(config.weights, pairs))
-    logs = [math.log(w) + _to_log(m, off) for w, (m, off) in zip(config.weights, pairs)]
-    lm = float(np.logaddexp.reduce(logs))
-    return math.exp(lm) if lm < _EXP_MAX else math.inf
 
 
 class SequentialDetector:
@@ -207,6 +113,7 @@ class SequentialDetector:
         return self._msr.size
 
     def advance(self, increments) -> bool:
+        """Apply one round: SR m <- L * (m + 1) and CUSUM m <- L * max(m, 1)."""
         if self.stopped:
             raise RuntimeError("detector already stopped; cannot step further")
         if len(increments) != self.n_observables:
@@ -230,23 +137,8 @@ class SequentialDetector:
             self.stopped = True
         return stop
 
-    def step_and_decide(self, increments) -> DetectorOutput:
-        stop = self.advance(increments)
-        mixture, _ = self._decide()
-        snaps = tuple(
-            PerObservableState(self._msr[i], self._mcu[i], self._osr[i], self._ocu[i])
-            for i in range(self.n_observables)
-        )
-        return DetectorOutput(mixture=mixture, decision=STOP if stop else CONTINUE, per_obs=snaps)
-
     def mixture(self) -> float:
         return self._decide()[0]
-
-    def states(self) -> tuple:
-        return tuple(
-            PerObservableState(self._msr[i], self._mcu[i], self._osr[i], self._ocu[i])
-            for i in range(self.n_observables)
-        )
 
     def _decide(self):
         if self.config.kind == SR:

@@ -21,9 +21,10 @@ from . import __version__
 from .betting import (
     CBCEBettor,
     ConstantBettor,
+    GROWTH_SHOTS,
     UP_GRID_SIZE,
-    default_slack,
     estimate_growth_rate,
+    growth_curve,
     lambda_interval,
 )
 from .edetect import CUSUM, DetectorConfig, SR, SequentialDetector, uniform_weights
@@ -362,8 +363,7 @@ class _DirectSampler:
 class _EigenTable:
     # eigenvalue outcomes with Born weights for one (observable, state) pair
     def __init__(self, pm: ProjectiveMeasurement, rho: DensityMatrix):
-        probs = np.einsum("xi,ij,xj->x", pm._bras, rho.mat, pm._bras.conj(), optimize=True).real
-        probs = np.clip(probs, 0.0, None)
+        probs = np.clip(pm.born_weights(rho), 0.0, None)
         cum = np.cumsum(probs / probs.sum())
         cum[-1] = 1.0
         self.cum = cum
@@ -434,11 +434,21 @@ class ScenarioRuntime:
             )
             self.pre_sampler = self.post_sampler = None
 
-        self.full_intervals = [lambda_interval(b, slack) for b in self.o_bounds]
-        if two_sided:
-            self.bet_intervals = self.full_intervals
-        else:
-            self.bet_intervals = [iv.nonnegative() for iv in self.full_intervals]
+        for i, (lower, upper) in enumerate(self.o_bounds):
+            _require(lower < 0.0 < upper, "scenario.observables",
+                     f"observable {i} has estimate range [{lower!r}, {upper!r}], "
+                     "which must straddle 0 for sign-indefinite betting")
+        try:
+            self.full_intervals = [lambda_interval(b, slack) for b in self.o_bounds]
+            if two_sided:
+                self.bet_intervals = self.full_intervals
+            else:
+                self.bet_intervals = [iv.nonnegative() for iv in self.full_intervals]
+            # a bettor checks at construction that its bets keep every multiplier positive
+            for i in range(self.n):
+                self.make_bettor(i)
+        except ValueError as exc:
+            _fail("scenario.betting.cbce.slack", str(exc))
         if "constant" in sc.betting:
             lam = float(sc.betting["constant"])
             for i, iv in enumerate(self.full_intervals):
@@ -605,34 +615,36 @@ class SummaryStats:
         }
 
 
+def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None):
+    """Shadow growth estimate for the scenario's post-change state, with the
+    bounds mode and betting slack its bettors use."""
+    cfg = scenario.betting.get("cbce", {})
+    return estimate_growth_rate(
+        make_theta_state(scenario.d, scenario.theta1), build_observables(scenario),
+        scenario.ensemble, shots=shots, rng=rng, slack=cfg.get("slack"),
+        bounds_mode=scenario.bounds_mode,
+    )
+
+
 def _growth_reference(scenario: Scenario) -> float | None:
     if scenario.nu is None:
         return None
     if scenario.policy == "escd":
         if not can_enumerate(scenario.ensemble, scenario.d):
             return None
-        rho1 = make_theta_state(scenario.d, scenario.theta1)
-        cfg = scenario.betting.get("cbce", {})
-        est = estimate_growth_rate(
-            rho1, build_observables(scenario), scenario.ensemble,
-            slack=cfg.get("slack"), bounds_mode=scenario.bounds_mode,
-        )
-        return est.d_star
+        return scenario_growth(scenario).d_star
     # matched measurements: exact eigenvalue-outcome distribution per observable
     rho1 = make_theta_state(scenario.d, scenario.theta1)
+    slack = scenario.betting.get("cbce", {}).get("slack")
     best = None
     for obs in build_observables(scenario):
         pm = ProjectiveMeasurement(obs)
-        probs = np.einsum("xi,ij,xj->x", pm._bras, rho1.mat, pm._bras.conj(), optimize=True).real
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
+        probs = np.clip(pm.born_weights(rho1), 0.0, None)
         try:
-            iv = lambda_interval((obs.eigmin, obs.eigmax))
+            iv = lambda_interval((obs.eigmin, obs.eigmax), slack)
         except ValueError:
             return None
-        grid = np.linspace(iv.lo, iv.hi, 201)
-        grid[np.abs(grid).argmin()] = 0.0
-        curve = probs @ np.log1p(pm.outcome_values[:, None] * grid[None, :])
+        _, curve = growth_curve(probs / probs.sum(), pm.outcome_values, iv)
         cand = float(curve.max())
         best = cand if best is None or cand > best else best
     return best

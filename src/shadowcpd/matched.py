@@ -18,27 +18,43 @@ from .qcore import hermitian_eig
 
 UCB_DEFAULT_DELTA = 0.1
 
+# eigenvalues closer than this, relative to the spectrum's scale, are one outcome
+EIGEN_GAP = 1e-9
+
 
 class ProjectiveMeasurement:
-    """Measurement in one observable's eigenbasis; outcomes are eigenvalues."""
+    """Measurement in one observable's eigenbasis; one outcome per distinct eigenvalue.
+
+    Outcome probabilities are Tr(Pi_lambda rho) for the eigenspace
+    projectors Pi_lambda, which do not depend on the basis LAPACK picks
+    inside a degenerate eigenspace.
+    """
 
     def __init__(self, obs):
         self.observable = obs
         self.eigensystem = hermitian_eig(obs.mat)
-        self.outcome_values = self.eigensystem.eigenvalues.copy()
-        # Born weights need <v_x|rho|v_x>; keep the conjugated columns ready
+        evals = self.eigensystem.eigenvalues
+        scale = max(1.0, float(np.abs(evals).max()))
+        starts = np.flatnonzero(np.diff(evals) > EIGEN_GAP * scale) + 1
+        self.outcome_values = np.array([block.mean() for block in np.split(evals, starts)])
+        # outcome index of each eigenvector column
+        self._outcome_of = np.searchsorted(starts, np.arange(evals.size), side="right")
         self._bras = self.eigensystem.eigenvectors.conj().T
 
-    @property
-    def dim(self) -> int:
-        return self.outcome_values.size
+    def born_weights(self, rho) -> np.ndarray:
+        """Tr(Pi_lambda rho) for each distinct eigenvalue lambda, ascending."""
+        per_vector = np.einsum("xi,ij,xj->x", self._bras, rho.mat, self._bras.conj(),
+                               optimize=True).real
+        return np.bincount(self._outcome_of, weights=per_vector,
+                           minlength=self.outcome_values.size)
 
 
 def projective_measure(pm: ProjectiveMeasurement, rho, rng) -> float:
-    """Draw one eigenvalue outcome with Born probabilities <v_x|rho|v_x>."""
-    if rho.dim != pm.dim:
-        raise ValueError(f"state dimension {rho.dim} does not match measurement dimension {pm.dim}")
-    probs = np.einsum("xi,ij,xj->x", pm._bras, rho.mat, pm._bras.conj(), optimize=True).real
+    """Draw one eigenvalue outcome with Born probabilities Tr(Pi_lambda rho)."""
+    if rho.dim != pm.observable.dim:
+        raise ValueError(
+            f"state dimension {rho.dim} does not match measurement dimension {pm.observable.dim}")
+    probs = pm.born_weights(rho)
     probs = np.where((probs < 0.0) & (probs > -1e-10), 0.0, probs)
     if probs.min() < 0.0:
         raise ValueError(f"negative Born probability {probs.min()!r}")

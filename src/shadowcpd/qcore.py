@@ -7,8 +7,7 @@ complex matrices.  Conventions used throughout the package:
   bitstring (x_1 ... x_d) with qubit 0 as the most significant bit;
 * density matrices are Hermitian, unit trace, positive semidefinite up to
   a small numerical floor;
-* eigensystems are returned with eigenvalues ascending and a deterministic
-  eigenvector convention (fixed phase, tie-broken degenerate blocks).
+* eigensystems come from LAPACK with eigenvalues ascending.
 """
 
 from __future__ import annotations
@@ -104,11 +103,11 @@ class Observable:
 
     The support is the set of qubit indices the operator acts on
     non-trivially.  ``factors`` may record a tensor-product decomposition
-    (one 2x2 factor per qubit) and ``pauli_letters`` a plain Pauli-string
-    form; both enable fast estimator paths but are never required.
+    (one 2x2 factor per qubit), which enables a fast estimator path but is
+    never required.
     """
 
-    def __init__(self, mat, factors=None, pauli_letters=None):
+    def __init__(self, mat, factors=None):
         mat = np.asarray(mat, dtype=complex)
         dim = _check_square_qubit_dim(mat, "observable")
         _check_hermitian(mat, "observable")
@@ -126,7 +125,6 @@ class Observable:
             if len(factors) != self.n_qubits:
                 raise ValueError("factor list length must equal qubit count")
         self.factors = factors
-        self.pauli_letters = pauli_letters
 
     def _compute_support(self):
         d = self.n_qubits
@@ -173,7 +171,7 @@ def pauli_string(letters):
     if not letters or any(c not in PAULI_BY_LETTER for c in letters):
         raise ValueError(f"invalid Pauli string {letters!r}")
     factors = [PAULI_BY_LETTER[c] for c in letters]
-    return Observable(kron_all(factors), factors=factors, pauli_letters=letters)
+    return Observable(kron_all(factors), factors=factors)
 
 
 def rotated_observable(d, gamma):
@@ -186,11 +184,7 @@ def rotated_observable(d, gamma):
     if not isinstance(d, (int, np.integer)) or d < 1 or d > MAX_QUBITS:
         raise ValueError(f"qubit count d={d} outside supported range [1, {MAX_QUBITS}]")
     factor = math.cos(gamma) * PAULI_X - math.sin(gamma) * PAULI_Y
-    letters = None
-    if abs(math.sin(gamma)) < 1e-15:
-        letters = "X" * d if math.cos(gamma) > 0 else None
-    obs = Observable(kron_all([factor] * d), factors=[factor] * d, pauli_letters=letters)
-    return obs
+    return Observable(kron_all([factor] * d), factors=[factor] * d)
 
 
 def expectation(rho, obs):
@@ -209,103 +203,17 @@ def expectation(rho, obs):
     return float(val.real)
 
 
-# ---------------------------------------------------------------------------
-# Cyclic Jacobi eigensolver for Hermitian matrices.
-# Dimensions in this package are at most 2**10, so the O(n^3)-per-sweep cost
-# is irrelevant next to the benefit of simple, robustly orthonormal vectors.
-
-
-def _jacobi_sweeps(a, max_sweeps=100, tol=1e-14):
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, np.max(np.abs(a)))
-    for _ in range(max_sweeps):
-        off = math.sqrt(np.sum(np.abs(np.tril(a, -1)) ** 2))
-        if off <= tol * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= tol * scale:
-                    continue
-                # phase factor making the pivot real, then a plane rotation
-                e = apq.conjugate() / r
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                phi = 0.5 * math.atan2(2.0 * r, gamma - alpha)
-                c = math.cos(phi)
-                s = math.sin(phi)
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * e * colq
-                a[:, q] = s * colp + c * e * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * e.conjugate() * rowq
-                a[q, :] = s * rowp + c * e.conjugate() * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                colp = v[:, p].copy()
-                colq = v[:, q].copy()
-                v[:, p] = c * colp - s * e * colq
-                v[:, q] = s * colp + c * e * colq
-    return np.real(np.diag(a)).copy(), v
-
-
-def _canonical_phase(col):
-    idx = np.flatnonzero(np.abs(col) > 1e-8)
-    if idx.size == 0:
-        return col
-    lead = col[idx[0]]
-    return col * (lead.conjugate() / abs(lead))
-
-
-def _lexi_key(col):
-    rounded = np.round(col, 9)
-    key = np.empty(2 * rounded.size)
-    key[0::2] = rounded.real
-    key[1::2] = rounded.imag
-    # avoid -0.0 flipping comparisons
-    key[key == 0.0] = 0.0
-    return tuple(key)
-
-
 def hermitian_eig(obs):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Returns an EigenSystem with eigenvalues ascending.  Each eigenvector is
-    phase-fixed (first sizable entry real positive) and degenerate blocks
-    are ordered lexicographically by their rounded entries, so the output
-    is deterministic for a fixed input.
+    Returns an EigenSystem with eigenvalues ascending.  Inside a degenerate
+    eigenspace the eigenvector basis is whatever LAPACK returns; callers
+    that need basis-free quantities use eigenspace projectors.
     """
     mat = _as_matrix(obs)
     _check_square_qubit_dim(mat, "matrix")
     _check_hermitian(mat, "matrix")
-    a = ((mat + mat.conj().T) / 2.0).astype(complex)
-    evals, evecs = _jacobi_sweeps(a)
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    evecs = evecs[:, order]
-    for j in range(evecs.shape[1]):
-        evecs[:, j] = _canonical_phase(evecs[:, j])
-    # deterministic ordering inside degenerate blocks
-    scale = max(1.0, np.max(np.abs(evals)))
-    gap_tol = 1e-9 * scale
-    start = 0
-    n = evals.size
-    while start < n:
-        stop = start + 1
-        while stop < n and evals[stop] - evals[stop - 1] <= gap_tol:
-            stop += 1
-        if stop - start > 1:
-            # copies, not views: writing reordered columns back would
-            # otherwise read through aliased memory
-            block = [evecs[:, j].copy() for j in range(start, stop)]
-            block.sort(key=_lexi_key)
-            for j, colv in enumerate(block):
-                evecs[:, start + j] = colv
-        start = stop
+    evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     return EigenSystem(eigenvalues=evals, eigenvectors=evecs)
 
 

@@ -54,9 +54,6 @@ MAX_JOINT_QUBITS = 6
 #: largest register for which settings x outcomes enumeration is practical
 MAX_ENUM_LOCAL = 3
 
-#: when True, fast estimator paths are cross-checked against the dense trace
-DEBUG_VALIDATE = False
-
 
 @dataclass
 class MeasurementSetting:
@@ -435,9 +432,6 @@ def estimate_from_setting(setting, bits, obs):
             val = 1.0
             for k in range(setting.d):
                 val *= table[k, setting.local_bases[k], bits[k]]
-            if DEBUG_VALIDATE:
-                dense = estimate_observable(shadow_estimate(setting, bits), obs)
-                assert abs(val - dense) <= 1e-8 * max(1.0, abs(dense)), (val, dense)
             return val
     return estimate_observable(shadow_estimate(setting, bits), obs)
 
@@ -469,22 +463,10 @@ def estimator_bounds(obs, kind, mode="analytic"):
         )
     if mode != "exhaustive":
         raise ValueError(f"unknown bounds mode {mode!r}")
-    vals = []
     d = obs.n_qubits
-    if kind == "local":
-        if d > MAX_ENUM_LOCAL:
-            raise ValueError(f"exhaustive local bounds need d <= {MAX_ENUM_LOCAL}")
-        for bases in itertools.product(range(3), repeat=d):
-            setting = MeasurementSetting(kind="local", local_bases=np.array(bases))
-            for outcome in itertools.product((0, 1), repeat=d):
-                vals.append(estimate_from_setting(setting, np.array(outcome), obs))
-    else:
-        if d > MAX_ENUM_JOINT:
-            raise ValueError(f"exhaustive joint bounds need d <= {MAX_ENUM_JOINT}")
-        for u in clifford_group(d):
-            setting = MeasurementSetting(kind="joint", joint_unitary=u)
-            for outcome in itertools.product((0, 1), repeat=d):
-                vals.append(estimate_from_setting(setting, np.array(outcome), obs))
+    vals = [estimate_from_setting(setting, np.array(outcome), obs)
+            for setting, _ in _iter_settings(kind, d)
+            for outcome in itertools.product((0, 1), repeat=d)]
     return EstimatorBounds(lower=float(min(vals)), upper=float(max(vals)), mode=mode)
 
 

@@ -141,16 +141,18 @@ def test_criterion_03_recursions_match_closed_forms():
     worst = 0.0
     for _ in range(200):
         seq = [float(x) for x in np.exp(rng.uniform(-1.5, 1.5, size=12))]
-        st = ed.PerObservableState()
+        # alpha = 1e-300 keeps both detectors running through all 12 steps
+        sr = ed.SequentialDetector(ed.DetectorConfig(weights=(1.0,), alpha=1e-300, kind=ed.SR))
+        cu = ed.SequentialDetector(ed.DetectorConfig(weights=(1.0,), alpha=1e-300, kind=ed.CUSUM))
         for t in range(1, 13):
-            ed.sr_update(st, seq[t - 1])
-            ed.cusum_update(st, seq[t - 1])
+            assert not sr.advance([seq[t - 1]])
+            assert not cu.advance([seq[t - 1]])
             sr_ref = sum(math.prod(seq[j - 1:t]) for j in range(1, t + 1))
             cu_ref = max(math.prod(seq[j - 1:t]) for j in range(1, t + 1))
             worst = max(worst,
-                        abs(st.m_sr - sr_ref) / sr_ref,
-                        abs(st.m_cu - cu_ref) / cu_ref)
-            assert st.m_cu <= st.m_sr * (1 + 1e-12)
+                        abs(sr.mixture() - sr_ref) / sr_ref,
+                        abs(cu.mixture() - cu_ref) / cu_ref)
+            assert cu.mixture() <= sr.mixture() * (1 + 1e-12)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-9 and dt < 1.0
     check(3, ok, f"worst relative error {worst:.1e} over 200 sequences ({dt:.2f}s)")

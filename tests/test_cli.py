@@ -213,6 +213,36 @@ def test_growth_exact_single_qubit(scenario_file, capsys):
     assert len(doc["per_observable"]) == 1
 
 
+def test_growth_matches_summary_reference_with_slack(tmp_path, capsys):
+    doc = dict(BASE, theta1=0.95, betting={"cbce": {"slack": 0.1}})
+    path = tmp_path / "slack.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = cli.main(["growth", "--scenario", str(path)])
+    assert rc == 0
+    out, _ = capsys.readouterr()
+    sc = hz.Scenario.from_dict(doc)
+    want = hz.summarize(hz.run_experiment(sc, 1, master_seed=0), sc).d_star_reference
+    assert math.isclose(json.loads(out)["d_star"], want, rel_tol=1e-11)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--runs", "1"],
+    ["sweep", "--param", "theta1", "--values", "0.5", "--runs", "1"],
+    ["growth"],
+])
+def test_slack_that_empties_the_interval_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "wide_slack.json"
+    path.write_text(json.dumps(dict(BASE, betting={"cbce": {"slack": 0.4}})), encoding="utf-8")
+    rc = cli.main([command[0], "--scenario", str(path), *command[1:]])
+    assert rc == 2
+    _, err = capsys.readouterr()
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "slack" in lines[0]
+    if command[0] != "growth":
+        assert "scenario.betting.cbce.slack" in lines[0]
+
+
 def test_growth_requires_finite_changepoint(tmp_path, capsys):
     path = tmp_path / "null_nu.json"
     path.write_text(json.dumps(dict(BASE, nu=None)), encoding="utf-8")

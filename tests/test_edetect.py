@@ -1,4 +1,4 @@
-"""SR/CUSUM recursions, mixture aggregation, and stopping semantics."""
+"""The SR/CUSUM detector recursion, mixture aggregation, and stopping semantics."""
 
 import math
 
@@ -26,6 +26,20 @@ def cusum_closed_form(seq):
     return out
 
 
+def log_sr_closed_form(logs):
+    """log of sr_closed_form, from the log-multipliers, without overflow."""
+    out = []
+    for t in range(1, len(logs) + 1):
+        tails = [math.fsum(logs[j - 1 : t]) for j in range(1, t + 1)]
+        out.append(float(np.logaddexp.reduce(tails)))
+    return out
+
+
+def log_cusum_closed_form(logs):
+    return [max(math.fsum(logs[j - 1 : t]) for j in range(1, t + 1))
+            for t in range(1, len(logs) + 1)]
+
+
 def test_baseline_increment_arithmetic():
     assert ed.baseline_increment(0.0, 123.0) == 1.0
     assert ed.baseline_increment(0.3, 3.0) == pytest.approx(1.9)
@@ -39,36 +53,38 @@ def test_baseline_increment_rejects_inadmissible_bets():
         ed.baseline_increment(0.4, -3.0)  # multiplier would be -0.2
 
 
+def never_stopping(kind, weights=(1.0,)):
+    # log(1/alpha) = 690.8 keeps any log-statistic below it from stopping
+    return ed.SequentialDetector(ed.DetectorConfig(weights=weights, alpha=1e-300, kind=kind))
+
+
+def mixtures(kind, seq):
+    det = never_stopping(kind)
+    out = []
+    for L in seq:
+        assert det.advance([L]) is False
+        out.append(det.mixture())
+    return out
+
+
 def test_sr_worked_sequence():
-    st = ed.PerObservableState()
-    vals = [ed.sr_update(st, L).m_sr for L in (2.0, 0.5, 3.0)]
-    assert vals == pytest.approx([2.0, 1.5, 7.5])
+    assert mixtures(ed.SR, (2.0, 0.5, 3.0)) == pytest.approx([2.0, 1.5, 7.5])
 
 
 def test_cusum_worked_sequences():
-    st = ed.PerObservableState()
-    vals = [ed.cusum_update(st, L).m_cu for L in (2.0, 0.5, 3.0)]
-    assert vals == pytest.approx([2.0, 1.0, 3.0])
-    st = ed.PerObservableState()
-    vals = [ed.cusum_update(st, L).m_cu for L in (0.5, 0.5)]
-    assert vals == pytest.approx([0.5, 0.5])  # restart at 1 beats compounding
+    assert mixtures(ed.CUSUM, (2.0, 0.5, 3.0)) == pytest.approx([2.0, 1.0, 3.0])
+    # restart at 1 beats compounding
+    assert mixtures(ed.CUSUM, (0.5, 0.5)) == pytest.approx([0.5, 0.5])
 
 
 def test_neutral_increments_count_time():
-    st = ed.PerObservableState()
-    for t in range(1, 9):
-        ed.sr_update(st, 1.0)
-        ed.cusum_update(st, 1.0)
-        assert st.m_sr == pytest.approx(t)
-        assert st.m_cu == pytest.approx(1.0)
+    assert mixtures(ed.SR, [1.0] * 8) == pytest.approx(list(range(1, 9)))
+    assert mixtures(ed.CUSUM, [1.0] * 8) == pytest.approx([1.0] * 8)
 
 
 def test_single_step_equals_increment():
-    st = ed.PerObservableState()
-    ed.sr_update(st, 0.37)
-    ed.cusum_update(st, 0.37)
-    assert st.m_sr == pytest.approx(0.37)
-    assert st.m_cu == pytest.approx(0.37)
+    assert mixtures(ed.SR, [0.37]) == pytest.approx([0.37])
+    assert mixtures(ed.CUSUM, [0.37]) == pytest.approx([0.37])
 
 
 def test_recursions_match_closed_forms():
@@ -76,50 +92,43 @@ def test_recursions_match_closed_forms():
     for _ in range(200):
         n = int(rng.integers(1, 13))
         seq = list(np.exp(rng.uniform(-1.5, 1.5, size=n)))
-        st = ed.PerObservableState()
-        sr_ref = sr_closed_form(seq)
-        cu_ref = cusum_closed_form(seq)
-        for t, L in enumerate(seq):
-            ed.sr_update(st, L)
-            ed.cusum_update(st, L)
-            assert st.m_sr == pytest.approx(sr_ref[t], rel=1e-9)
-            assert st.m_cu == pytest.approx(cu_ref[t], rel=1e-9)
-            # every max term is one of the summed products
-            assert st.m_cu <= st.m_sr * (1 + 1e-12)
+        sr = mixtures(ed.SR, seq)
+        cu = mixtures(ed.CUSUM, seq)
+        assert sr == pytest.approx(sr_closed_form(seq), rel=1e-9)
+        assert cu == pytest.approx(cusum_closed_form(seq), rel=1e-9)
+        # every max term is one of the summed products
+        assert all(c <= s * (1 + 1e-12) for c, s in zip(cu, sr))
 
 
 def test_update_rejects_nonpositive_multiplier():
-    st = ed.PerObservableState()
     with pytest.raises(ValueError):
-        ed.sr_update(st, 0.0)
+        never_stopping(ed.SR).advance([0.0])
     with pytest.raises(ValueError):
-        ed.cusum_update(st, -0.5)
+        never_stopping(ed.CUSUM).advance([-0.5])
 
 
 def test_promotion_keeps_log_value_exact():
-    # 600 rounds of L=10 overflow float range; closed form:
-    # m_sr(t) = (10^(t+1) - 10) / 9, so log m = (t+1) log 10 - log 9 + o(1)
-    st = ed.PerObservableState()
-    for _ in range(600):
-        ed.sr_update(st, 10.0)
-        ed.cusum_update(st, 10.0)
-    assert st.m_sr <= ed.PROMOTE_AT
-    assert st.log_off_sr > 0.0
-    want_sr = 601 * math.log(10.0) - math.log(9.0)
-    # the -10/9 correction is below double precision at this size
-    assert st.log_sr_statistic() == pytest.approx(want_sr, rel=1e-12)
-    assert st.log_cusum_statistic() == pytest.approx(600 * math.log(10.0), rel=1e-12)
+    # 290 rounds of L=10 push the statistics far past PROMOTE_AT; closed
+    # form m_sr(t) = (10^(t+1) - 10) / 9, so log m = (t+1) log 10 - log 9
+    # up to a correction below double precision at this size
+    rounds = 290
+    sr = mixtures(ed.SR, [10.0] * rounds)[-1]
+    cu = mixtures(ed.CUSUM, [10.0] * rounds)[-1]
+    assert sr > ed.PROMOTE_AT**20
+    assert math.log(sr) == pytest.approx((rounds + 1) * math.log(10.0) - math.log(9.0), rel=1e-12)
+    assert math.log(cu) == pytest.approx(rounds * math.log(10.0), rel=1e-12)
 
 
 def test_mixture_examples():
-    cfg = ed.DetectorConfig(weights=(0.5, 0.5), alpha=0.1)
-    states = [ed.PerObservableState(m_sr=2.0), ed.PerObservableState(m_sr=4.0)]
-    assert ed.mixture_statistic(cfg, states) == pytest.approx(3.0)
-    cfg1 = ed.DetectorConfig(weights=(1.0,), alpha=0.1)
-    assert ed.mixture_statistic(cfg1, [ed.PerObservableState(m_sr=7.0)]) == pytest.approx(7.0)
-    cfg3 = ed.DetectorConfig(weights=(0.2, 0.3, 0.5), alpha=0.1)
-    ones = [ed.PerObservableState(m_sr=1.0) for _ in range(3)]
-    assert ed.mixture_statistic(cfg3, ones) == pytest.approx(1.0)
+    det = never_stopping(ed.SR, weights=(0.5, 0.5))
+    det.advance([2.0, 4.0])
+    assert det.mixture() == pytest.approx(3.0)
+    det = never_stopping(ed.SR)
+    det.advance([7.0])
+    assert det.mixture() == pytest.approx(7.0)
+    det = never_stopping(ed.SR, weights=(0.2, 0.3, 0.5))
+    det.advance([1.0, 1.0, 1.0])
+    assert det.mixture() == pytest.approx(1.0)
 
 
 def test_mixture_permutation_invariance():
@@ -127,28 +136,26 @@ def test_mixture_permutation_invariance():
     w = rng.uniform(0.1, 1.0, size=4)
     w = w / w.sum()
     ms = rng.uniform(0.0, 9.0, size=4)
-    states = [ed.PerObservableState(m_sr=m) for m in ms]
-    cfg = ed.DetectorConfig(weights=tuple(w), alpha=0.2)
-    base = ed.mixture_statistic(cfg, states)
+    det = never_stopping(ed.SR, weights=tuple(w))
+    det.advance(list(ms))
     perm = rng.permutation(4)
-    cfg_p = ed.DetectorConfig(weights=tuple(w[perm]), alpha=0.2)
-    states_p = [states[i] for i in perm]
-    assert ed.mixture_statistic(cfg_p, states_p) == pytest.approx(base, rel=1e-12)
+    det_p = never_stopping(ed.SR, weights=tuple(w[perm]))
+    det_p.advance(list(ms[perm]))
+    assert det_p.mixture() == pytest.approx(det.mixture(), rel=1e-12)
 
 
 def test_mixture_with_promoted_state_uses_log_path():
-    cfg = ed.DetectorConfig(weights=(0.25, 0.75), alpha=0.1)
-    promoted = ed.PerObservableState(m_sr=3.0, log_off_sr=ed._LOG_PROMOTE)
-    plain = ed.PerObservableState(m_sr=5.0)
-    got = ed.mixture_statistic(cfg, [promoted, plain])
+    # 3e12 passes PROMOTE_AT, so the first statistic moves into its log offset
+    det = never_stopping(ed.SR, weights=(0.25, 0.75))
+    det.advance([3.0 * ed.PROMOTE_AT, 5.0])
     want = 0.25 * 3.0 * ed.PROMOTE_AT + 0.75 * 5.0
-    assert got == pytest.approx(want, rel=1e-12)
+    assert det.mixture() == pytest.approx(want, rel=1e-12)
 
 
 def test_mixture_length_mismatch():
-    cfg = ed.DetectorConfig(weights=(0.5, 0.5), alpha=0.1)
+    det = never_stopping(ed.SR, weights=(0.5, 0.5))
     with pytest.raises(ValueError):
-        ed.mixture_statistic(cfg, [ed.PerObservableState()])
+        det.advance([1.0])
 
 
 def test_config_validation():
@@ -198,41 +205,26 @@ def test_stopped_detector_latches():
 
 
 def test_none_increment_skips_observable():
-    det = ed.SequentialDetector(ed.DetectorConfig(weights=(0.5, 0.5), alpha=1e-3))
+    det = never_stopping(ed.SR, weights=(0.5, 0.5))
     det.advance([2.0, None])
-    states = det.states()
-    assert states[0].m_sr == pytest.approx(2.0)
-    assert states[1].m_sr == 0.0
+    assert det.mixture() == pytest.approx(0.5 * 2.0)
     det.advance([None, 3.0])
-    states = det.states()
-    assert states[0].m_sr == pytest.approx(2.0)
-    assert states[1].m_sr == pytest.approx(3.0)
+    assert det.mixture() == pytest.approx(0.5 * 2.0 + 0.5 * 3.0)
 
 
-def test_step_and_decide_reports_snapshots():
-    det = ed.SequentialDetector(ed.DetectorConfig(weights=(1.0,), alpha=0.01))
-    out = det.step_and_decide([1.5])
-    assert out.decision == ed.CONTINUE
-    assert out.mixture == pytest.approx(1.5)
-    assert out.per_obs[0].m_sr == pytest.approx(1.5)
-
-
-def test_detector_matches_scalar_recursions_with_offsets():
+def test_detector_matches_log_closed_forms_with_offsets():
     # long stream with occasional huge multipliers forces promotions; the
-    # detector must agree with standalone state updates throughout
+    # mixture must follow the log-space closed forms throughout
     rng = np.random.default_rng(13)
-    det = ed.SequentialDetector(ed.DetectorConfig(weights=(0.5, 0.5), alpha=1e-300))
-    refs = [ed.PerObservableState(), ed.PerObservableState()]
-    # worst-case log-statistic 80 * 8 = 640 stays below log(1/alpha) = 690
-    for _ in range(80):
-        ls = np.exp(rng.uniform(-1.0, 8.0, size=2))
-        det.advance(list(ls))
-        for st, L in zip(refs, ls):
-            ed.sr_update(st, L)
-            ed.cusum_update(st, L)
-    for got, ref in zip(det.states(), refs):
-        assert got.log_sr_statistic() == pytest.approx(ref.log_sr_statistic(), rel=1e-12)
-        assert got.log_cusum_statistic() == pytest.approx(ref.log_cusum_statistic(), rel=1e-12)
+    seqs = np.exp(rng.uniform(-1.0, 8.0, size=(80, 2)))
+    logs = np.log(seqs)
+    for kind, closed in ((ed.SR, log_sr_closed_form), (ed.CUSUM, log_cusum_closed_form)):
+        det = never_stopping(kind, weights=(0.5, 0.5))
+        want = np.logaddexp(*(np.log(0.5) + np.array(closed(list(logs[:, i]))) for i in range(2)))
+        # worst-case log-statistic 80 * 8 = 640 stays below log(1/alpha) = 690
+        for t, ls in enumerate(seqs):
+            assert det.advance(list(ls)) is False
+            assert math.log(det.mixture()) == pytest.approx(want[t], rel=1e-12)
 
 
 def test_average_run_length_floor_under_null_feed():

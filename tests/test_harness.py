@@ -309,6 +309,27 @@ def test_growth_reference_for_enumerable_scenario():
     assert st.d_star_reference == pytest.approx(want, rel=1e-12)
 
 
+def test_matched_growth_reference_uses_scenario_slack():
+    # X measured on (I + 0.95 X)/2 gives +1 w.p. 0.975; the optimal bet 0.95
+    # lies outside the slack-trimmed interval [-0.6, 0.6], so the best growth
+    # is at its top end
+    sc = scenario(policy="emcd_rr", theta1=0.95, nu=5, betting={"cbce": {"slack": 0.4}})
+    st = hz.summarize(hz.run_experiment(sc, 1, master_seed=1), sc)
+    import shadowcpd.betting as bt
+
+    hi = bt.lambda_interval((-1.0, 1.0), 0.4).hi
+    want = 0.975 * math.log1p(hi) + 0.025 * math.log1p(-hi)
+    assert st.d_star_reference == pytest.approx(want, rel=1e-12)
+
+
+def test_slack_that_leaves_no_bet_is_a_scenario_error():
+    # d=1 local X estimates span [-3, 3]: bets lie in (-1/3, 1/3)
+    for slack in (0.4, 0.0):
+        sc = scenario(betting={"cbce": {"slack": slack}})
+        with pytest.raises(hz.ScenarioError, match=r"scenario\.betting\.cbce\.slack"):
+            hz.ScenarioRuntime(sc)
+
+
 # ---------------------------------------------------------------------------
 # emission
 

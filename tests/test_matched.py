@@ -13,7 +13,43 @@ from shadowcpd import qcore as qc
 def test_projective_measurement_reports_eigenvalues():
     pm = mt.ProjectiveMeasurement(qc.pauli_string("X"))
     assert np.allclose(np.sort(pm.outcome_values), [-1.0, 1.0])
-    assert np.allclose(pm.outcome_values, pm.eigensystem.eigenvalues)
+    assert np.allclose(pm.outcome_values, np.unique(np.round(pm.eigensystem.eigenvalues, 9)))
+    pm = mt.ProjectiveMeasurement(qc.pauli_string("XZ"))
+    assert pm.outcome_values.tolist() == [-1.0, 1.0]
+
+
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_born_weights_are_eigenspace_projections_in_any_basis():
+    # rebuild each degenerate observable from an eigenbasis rotated by a random
+    # unitary inside every eigenspace; the projectors Pi = (O - mu I)/(lam - mu)
+    # of the two-level spectrum {mu, lam} are the oracle, built from O alone
+    rng = np.random.default_rng(41)
+    rho = qc.DensityMatrix(random_density(rng, 2))
+    for obs in (qc.pauli_string("XX"), qc.rotated_observable(2, 0.7)):
+        evals, evecs = np.linalg.eigh(obs.mat)
+        mu, lam = evals[0], evals[-1]
+        eye = np.eye(4)
+        want = [np.trace((obs.mat - lam * eye) / (mu - lam) @ rho.mat).real,
+                np.trace((obs.mat - mu * eye) / (lam - mu) @ rho.mat).real]
+        seen = []
+        for _ in range(5):
+            rot = np.zeros((4, 4), dtype=complex)
+            rot[:2, :2] = _haar_unitary(rng, 2)
+            rot[2:, 2:] = _haar_unitary(rng, 2)
+            v = evecs @ rot
+            mat = v @ np.diag(evals) @ v.conj().T
+            pm = mt.ProjectiveMeasurement(qc.Observable((mat + mat.conj().T) / 2))
+            assert pm.outcome_values.size == 2
+            assert np.all(np.diff(pm.outcome_values) > 0)
+            assert pm.outcome_values == pytest.approx([mu, lam], abs=1e-12)
+            got = pm.born_weights(rho)
+            assert got == pytest.approx(want, abs=1e-12)
+            seen.append(got)
+        assert np.ptp(np.array(seen), axis=0).max() <= 1e-12
 
 
 def test_eigenstate_gives_certain_outcome():
