@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shadows import can_enumerate, estimator_bounds, outcome_distribution, sample_estimates
+from .shadows import can_enumerate, estimator_bounds, outcome_distribution, sample_estimates, value_range
 
 UP_GRID_SIZE = 64
 GROWTH_GRID_SIZE = 201
@@ -302,6 +302,24 @@ def growth_curve(probs, values, interval: LambdaInterval, grid_size: int = GROWT
     return grid, probs @ np.log1p(values[:, None] * grid[None, :])
 
 
+def growth_estimate(grid_curves) -> GrowthEstimate:
+    """Best bet and growth of each observable's (grid, curve) pair, and the
+    best observable among them."""
+    per = []
+    lam_at = []
+    for grid, curve in grid_curves:
+        j = int(curve.argmax())
+        per.append(float(curve[j]))
+        lam_at.append(float(grid[j]))
+    i_star = int(np.argmax(per))
+    return GrowthEstimate(
+        d_star=per[i_star],
+        i_star=i_star,
+        lambda_star=lam_at[i_star],
+        per_observable=tuple(per),
+    )
+
+
 def estimate_growth_rate(
     rho1,
     observables,
@@ -319,6 +337,8 @@ def estimate_growth_rate(
     """
     if grid_size < 1:
         raise ValueError("growth grid must be nonempty")
+    if shots < 1:
+        raise ValueError(f"need at least one shot, got {shots!r}")
     if len(observables) == 0:
         raise ValueError("need at least one observable")
     d = rho1.n_qubits
@@ -326,39 +346,28 @@ def estimate_growth_rate(
     if bounds_mode == "auto":
         bounds_mode = "exhaustive" if enumerable else "analytic"
 
-    intervals = [lambda_interval(estimator_bounds(obs, kind, mode=bounds_mode), slack)
-                 for obs in observables]
+    if enumerable:
+        probs, values = outcome_distribution(rho1, observables, kind)
+    if enumerable and bounds_mode == "exhaustive":
+        bounds = value_range(values)
+    else:
+        bounds = [estimator_bounds(obs, kind, mode=bounds_mode) for obs in observables]
+    intervals = [lambda_interval(b, slack) for b in bounds]
 
     n = len(observables)
     if enumerable:
-        probs, values = outcome_distribution(rho1, observables, kind)
-        grids, curves = zip(*(growth_curve(probs, values[:, i], intervals[i], grid_size)
-                              for i in range(n)))
-    else:
-        grids = [_growth_grid(iv, grid_size) for iv in intervals]
-        rng = np.random.default_rng(rng)
-        sums = [np.zeros(grid_size) for _ in range(n)]
-        done = 0
-        while done < shots:
-            take = min(_MC_CHUNK, shots - done)
-            block = np.empty((take, n))
-            for s in range(take):
-                block[s] = sample_estimates(rho1, observables, kind, rng)
-            for i in range(n):
-                sums[i] += np.log1p(block[:, [i]] * grids[i][None, :]).sum(axis=0)
-            done += take
-        curves = [s / shots for s in sums]
-
-    per = []
-    lam_at = []
-    for i in range(n):
-        j = int(curves[i].argmax())
-        per.append(float(curves[i][j]))
-        lam_at.append(float(grids[i][j]))
-    i_star = int(np.argmax(per))
-    return GrowthEstimate(
-        d_star=per[i_star],
-        i_star=i_star,
-        lambda_star=lam_at[i_star],
-        per_observable=tuple(per),
-    )
+        return growth_estimate(growth_curve(probs, values[:, i], intervals[i], grid_size)
+                               for i in range(n))
+    grids = [_growth_grid(iv, grid_size) for iv in intervals]
+    rng = np.random.default_rng(rng)
+    sums = [np.zeros(grid_size) for _ in range(n)]
+    done = 0
+    while done < shots:
+        take = min(_MC_CHUNK, shots - done)
+        block = np.empty((take, n))
+        for s in range(take):
+            block[s] = sample_estimates(rho1, observables, kind, rng)
+        for i in range(n):
+            sums[i] += np.log1p(block[:, [i]] * grids[i][None, :]).sum(axis=0)
+        done += take
+    return growth_estimate(zip(grids, (s / shots for s in sums)))

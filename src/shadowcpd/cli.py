@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 when validation fails, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -35,7 +36,15 @@ def _load_scenario(path):
         raise SystemExit2(str(exc))
 
 
+def _require_counts(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise SystemExit2(f"--{name} must be >= 1, got {value}")
+
+
 def _cmd_run(args):
+    _require_counts(args, "runs", "parallelism")
     scenario = _load_scenario(args.scenario)
     t0 = time.perf_counter()
     results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism)
@@ -71,6 +80,7 @@ def _set_path(data, dotted, value):
 
 
 def _cmd_sweep(args):
+    _require_counts(args, "runs", "parallelism")
     base = _load_scenario(args.scenario).to_dict()
     try:
         values = [json.loads(v) for v in args.values.split(",")]
@@ -195,21 +205,9 @@ def _apply_single_qubit_channel(mat, k, d):
 
 
 def _cmd_growth(args):
-    scenario = _load_scenario(args.scenario)
-    if scenario.nu is None:
-        raise SystemExit2("growth requires a scenario with a finite changepoint (post-change state)")
-    try:
-        est = harness.scenario_growth(scenario, shots=args.shots, rng=args.seed)
-    except ValueError as exc:
-        # the observables, slack or bounds mode admit no betting interval
-        raise SystemExit2(str(exc))
-    doc = {
-        "d_star": est.d_star,
-        "i_star": est.i_star,
-        "lambda_star": est.lambda_star,
-        "per_observable": list(est.per_observable),
-    }
-    print(json.dumps(harness._normalize_floats(doc), indent=2))
+    _require_counts(args, "shots")
+    est = harness.scenario_growth(_load_scenario(args.scenario), shots=args.shots, rng=args.seed)
+    print(json.dumps(harness._normalize_floats(dataclasses.asdict(est)), indent=2))
     return 0
 
 
@@ -249,7 +247,7 @@ def build_parser():
     p_val = sub.add_parser("validate", help="run the enumeration-oracle invariant suite")
     p_val.set_defaults(func=_cmd_validate)
 
-    p_growth = sub.add_parser("growth", help="print the growth-rate estimate for a scenario")
+    p_growth = sub.add_parser("growth", help="growth rate of the policy's post-change measurement")
     p_growth.add_argument("--scenario", required=True)
     p_growth.add_argument("--shots", type=int, default=betting.GROWTH_SHOTS)
     p_growth.add_argument("--seed", type=int, default=0)

@@ -22,9 +22,11 @@ from .betting import (
     CBCEBettor,
     ConstantBettor,
     GROWTH_SHOTS,
+    GrowthEstimate,
     UP_GRID_SIZE,
     estimate_growth_rate,
     growth_curve,
+    growth_estimate,
     lambda_interval,
 )
 from .edetect import CUSUM, DetectorConfig, SR, SequentialDetector, uniform_weights
@@ -35,8 +37,10 @@ from .shadows import (
     MAX_LOCAL_QUBITS,
     can_enumerate,
     estimator_bounds,
-    outcome_distribution,
+    outcome_probabilities,
+    outcome_values,
     sample_estimates,
+    value_range,
 )
 
 POLICIES = ("escd", "emcd_rr", "emcd_ucb")
@@ -333,19 +337,19 @@ def build_observables(scenario: Scenario):
 
 
 class _TableSampler:
-    """Draws estimate vectors from a finite enumerated outcome distribution."""
+    """Draws rows of ``values`` (estimate vectors, or eigenvalues in _EigenTable)
+    with probabilities ``probs``."""
 
     def __init__(self, probs, values):
+        self.probs = probs
         cum = np.cumsum(probs)
         cum[-1] = 1.0
         self.cum = cum
         self.values = values
 
     def draw(self, rng):
-        a = int(np.searchsorted(self.cum, rng.random(), side="right"))
-        if a >= self.values.shape[0]:
-            a = self.values.shape[0] - 1
-        return self.values[a]
+        # cum ends at exactly 1.0 and rng.random() < 1, so the index is in range
+        return self.values[int(np.searchsorted(self.cum, rng.random(), side="right"))]
 
 
 class _DirectSampler:
@@ -360,20 +364,14 @@ class _DirectSampler:
         return sample_estimates(self.rho, self.observables, self.kind, rng)
 
 
-class _EigenTable:
+class _EigenTable(_TableSampler):
     # eigenvalue outcomes with Born weights for one (observable, state) pair
     def __init__(self, pm: ProjectiveMeasurement, rho: DensityMatrix):
         probs = np.clip(pm.born_weights(rho), 0.0, None)
-        cum = np.cumsum(probs / probs.sum())
-        cum[-1] = 1.0
-        self.cum = cum
-        self.values = pm.outcome_values
+        super().__init__(probs / probs.sum(), pm.outcome_values)
 
     def draw(self, rng):
-        a = int(np.searchsorted(self.cum, rng.random(), side="right"))
-        if a >= self.values.size:
-            a = self.values.size - 1
-        return float(self.values[a])
+        return float(self.values[int(np.searchsorted(self.cum, rng.random(), side="right"))])
 
 
 class ScenarioRuntime:
@@ -405,31 +403,33 @@ class ScenarioRuntime:
         two_sided = cfg.get("two_sided", False)
 
         if sc.policy == "escd":
-            bounds = [estimator_bounds(o, sc.ensemble, mode=self.bounds_mode)
-                      for o in self.observables]
-            self.o_bounds = [(b.lower, b.upper) for b in bounds]
+            # one estimate table serves the bounds and both states' samplers
+            values = outcome_values(self.observables, sc.ensemble, sc.d) if enumerable else None
+            if mode == "exhaustive":
+                self.o_bounds = value_range(values)
+            else:
+                bounds = [estimator_bounds(o, sc.ensemble, mode=mode) for o in self.observables]
+                self.o_bounds = [(b.lower, b.upper) for b in bounds]
             if enumerable:
-                probs0, vals0 = outcome_distribution(self.pre_state, self.observables, sc.ensemble)
-                self.pre_sampler = _TableSampler(probs0, vals0)
-                if self.post_state is not None:
-                    probs1, vals1 = outcome_distribution(self.post_state, self.observables, sc.ensemble)
-                    self.post_sampler = _TableSampler(probs1, vals1)
-                else:
-                    self.post_sampler = None
+                self.pre_sampler = _TableSampler(
+                    outcome_probabilities(self.pre_state, sc.ensemble), values)
+                self.post_sampler = (
+                    _TableSampler(outcome_probabilities(self.post_state, sc.ensemble), values)
+                    if self.post_state is not None else None
+                )
             else:
                 self.pre_sampler = _DirectSampler(self.pre_state, self.observables, sc.ensemble)
                 self.post_sampler = (
                     _DirectSampler(self.post_state, self.observables, sc.ensemble)
                     if self.post_state is not None else None
                 )
-            self.measurements = None
             self.pre_tables = self.post_tables = None
         else:
-            self.measurements = [ProjectiveMeasurement(o) for o in self.observables]
+            measurements = [ProjectiveMeasurement(o) for o in self.observables]
             self.o_bounds = [(o.eigmin, o.eigmax) for o in self.observables]
-            self.pre_tables = [_EigenTable(pm, self.pre_state) for pm in self.measurements]
+            self.pre_tables = [_EigenTable(pm, self.pre_state) for pm in measurements]
             self.post_tables = (
-                [_EigenTable(pm, self.post_state) for pm in self.measurements]
+                [_EigenTable(pm, self.post_state) for pm in measurements]
                 if self.post_state is not None else None
             )
             self.pre_sampler = self.post_sampler = None
@@ -615,39 +615,39 @@ class SummaryStats:
         }
 
 
-def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None):
-    """Shadow growth estimate for the scenario's post-change state, with the
-    bounds mode and betting slack its bettors use."""
-    cfg = scenario.betting.get("cbce", {})
-    return estimate_growth_rate(
-        make_theta_state(scenario.d, scenario.theta1), build_observables(scenario),
-        scenario.ensemble, shots=shots, rng=rng, slack=cfg.get("slack"),
-        bounds_mode=scenario.bounds_mode,
-    )
+def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None,
+                    runtime: ScenarioRuntime | None = None) -> GrowthEstimate:
+    """Growth estimate of the post-change measurement the scenario's policy
+    makes, over the full betting intervals its bettors are built from.
+
+    Exact over the runtime's post-change outcome tables; Monte Carlo with
+    ``shots`` draws only for shadows that cannot be enumerated.
+    """
+    if scenario.nu is None:
+        _fail("scenario.nu", "growth requires a finite changepoint (post-change state)")
+    rt = runtime if runtime is not None else ScenarioRuntime(scenario)
+    if rt.post_tables is not None:
+        outcomes = [(table.probs, table.values) for table in rt.post_tables]
+    elif isinstance(rt.post_sampler, _TableSampler):
+        table = rt.post_sampler
+        outcomes = [(table.probs, table.values[:, i]) for i in range(rt.n)]
+    else:
+        return estimate_growth_rate(
+            rt.post_state, rt.observables, scenario.ensemble, shots=shots, rng=rng,
+            slack=scenario.betting.get("cbce", {}).get("slack"), bounds_mode=rt.bounds_mode,
+        )
+    return growth_estimate(growth_curve(probs, values, iv)
+                           for (probs, values), iv in zip(outcomes, rt.full_intervals))
 
 
 def _growth_reference(scenario: Scenario) -> float | None:
     if scenario.nu is None:
         return None
-    if scenario.policy == "escd":
-        if not can_enumerate(scenario.ensemble, scenario.d):
-            return None
-        return scenario_growth(scenario).d_star
-    # matched measurements: exact eigenvalue-outcome distribution per observable
-    rho1 = make_theta_state(scenario.d, scenario.theta1)
-    slack = scenario.betting.get("cbce", {}).get("slack")
-    best = None
-    for obs in build_observables(scenario):
-        pm = ProjectiveMeasurement(obs)
-        probs = np.clip(pm.born_weights(rho1), 0.0, None)
-        try:
-            iv = lambda_interval((obs.eigmin, obs.eigmax), slack)
-        except ValueError:
-            return None
-        _, curve = growth_curve(probs / probs.sum(), pm.outcome_values, iv)
-        cand = float(curve.max())
-        best = cand if best is None or cand > best else best
-    return best
+    rt = ScenarioRuntime(scenario)
+    if isinstance(rt.post_sampler, _DirectSampler):
+        # a Monte Carlo reference would make the summary depend on a seed
+        return None
+    return scenario_growth(scenario, runtime=rt).d_star
 
 
 def summarize(results, scenario: Scenario | None = None,

@@ -49,24 +49,6 @@ class ProjectiveMeasurement:
                            minlength=self.outcome_values.size)
 
 
-def projective_measure(pm: ProjectiveMeasurement, rho, rng) -> float:
-    """Draw one eigenvalue outcome with Born probabilities Tr(Pi_lambda rho)."""
-    if rho.dim != pm.observable.dim:
-        raise ValueError(
-            f"state dimension {rho.dim} does not match measurement dimension {pm.observable.dim}")
-    probs = pm.born_weights(rho)
-    probs = np.where((probs < 0.0) & (probs > -1e-10), 0.0, probs)
-    if probs.min() < 0.0:
-        raise ValueError(f"negative Born probability {probs.min()!r}")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-7:
-        raise ValueError(f"Born probabilities sum to {total!r}")
-    probs = probs / total
-    x = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    x = min(x, probs.size - 1)
-    return float(pm.outcome_values[x])
-
-
 class UCBStats:
     """Per-index selection counts and increment sums for UCB scheduling."""
 

@@ -463,11 +463,14 @@ def estimator_bounds(obs, kind, mode="analytic"):
         )
     if mode != "exhaustive":
         raise ValueError(f"unknown bounds mode {mode!r}")
-    d = obs.n_qubits
-    vals = [estimate_from_setting(setting, np.array(outcome), obs)
-            for setting, _ in _iter_settings(kind, d)
-            for outcome in itertools.product((0, 1), repeat=d)]
-    return EstimatorBounds(lower=float(min(vals)), upper=float(max(vals)), mode=mode)
+    (lower, upper), = value_range(outcome_values([obs], kind, obs.n_qubits))
+    return EstimatorBounds(lower=lower, upper=upper, mode=mode)
+
+
+def value_range(values):
+    """(min, max) of each observable's column of an ``outcome_values`` table:
+    the exhaustive estimate range, as float pairs."""
+    return list(zip(values.min(axis=0).tolist(), values.max(axis=0).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +505,31 @@ def _iter_settings(kind, d):
 
 def exact_channel_apply(rho, kind):
     """Exact measurement channel E[U^dag |X><X| U] by full enumeration."""
-    d = rho.n_qubits
-    out = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for setting, w in _iter_settings(kind, d):
-        u = setting_unitary(setting)
-        probs = born_probabilities(rho, u)
-        udag = u.conj().T
-        for idx in range(rho.dim):
-            ket = udag[:, idx]
-            out += w * probs[idx] * np.outer(ket, ket.conj())
-    return out
+    # row x of conj(U) is the measured ket U^dag |x>, one row per atom
+    kets = np.concatenate([setting_unitary(setting).conj()
+                           for setting, _ in _iter_settings(kind, rho.n_qubits)])
+    return (kets.T * outcome_probabilities(rho, kind)) @ kets.conj()
+
+
+def outcome_values(observables, kind, d):
+    """Estimate of every observable at every (setting, outcome) atom.
+
+    Returns shape (n_atoms, n_observables), atoms in the order of
+    ``outcome_probabilities``.  An estimate depends on the atom and the
+    observable only, so one table serves every state of the register.
+    """
+    values = []
+    for setting, _ in _iter_settings(kind, d):
+        for idx in range(1 << d):
+            bits = np.array([(idx >> (d - 1 - k)) & 1 for k in range(d)], dtype=np.int64)
+            values.append([estimate_from_setting(setting, bits, o) for o in observables])
+    return np.array(values)
+
+
+def outcome_probabilities(rho, kind):
+    """Probability of every (setting, outcome) atom under state ``rho``."""
+    return np.concatenate([w * born_probabilities(rho, setting_unitary(setting))
+                           for setting, w in _iter_settings(kind, rho.n_qubits)])
 
 
 def outcome_distribution(rho, observables, kind):
@@ -521,17 +539,8 @@ def outcome_distribution(rho, observables, kind):
     has shape (n_atoms, n_observables).  Only enumerable configurations
     are supported (local with d <= 3, joint with d <= 2).
     """
-    d = rho.n_qubits
-    probs = []
-    values = []
-    for setting, w in _iter_settings(kind, d):
-        u = setting_unitary(setting)
-        outcome_probs = born_probabilities(rho, u)
-        for idx in range(rho.dim):
-            bits = np.array([(idx >> (d - 1 - k)) & 1 for k in range(d)], dtype=np.int64)
-            probs.append(w * outcome_probs[idx])
-            values.append([estimate_from_setting(setting, bits, o) for o in observables])
-    return np.array(probs), np.array(values)
+    return (outcome_probabilities(rho, kind),
+            outcome_values(observables, kind, rho.n_qubits))
 
 
 def sample_estimates(rho, observables, kind, rng):

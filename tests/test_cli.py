@@ -214,15 +214,19 @@ def test_growth_exact_single_qubit(scenario_file, capsys):
 
 
 def test_growth_matches_summary_reference_with_slack(tmp_path, capsys):
-    doc = dict(BASE, theta1=0.95, betting={"cbce": {"slack": 0.1}})
-    path = tmp_path / "slack.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    rc = cli.main(["growth", "--scenario", str(path)])
-    assert rc == 0
-    out, _ = capsys.readouterr()
-    sc = hz.Scenario.from_dict(doc)
-    want = hz.summarize(hz.run_experiment(sc, 1, master_seed=0), sc).d_star_reference
-    assert math.isclose(json.loads(out)["d_star"], want, rel_tol=1e-11)
+    # growth reports the policy's own measurement: the matched case's slack 0.4
+    # fits its [-1, 1] eigenvalue range but would empty the shadow interval
+    for policy, slack in (("escd", 0.1), ("emcd_rr", 0.4)):
+        doc = dict(BASE, theta1=0.95, policy=policy, betting={"cbce": {"slack": slack}})
+        path = tmp_path / "slack.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc = cli.main(["growth", "--scenario", str(path)])
+        assert rc == 0
+        out, _ = capsys.readouterr()
+        sc = hz.Scenario.from_dict(doc)
+        want = hz.summarize(hz.run_experiment(sc, 1, master_seed=0), sc).d_star_reference
+        assert math.isclose(json.loads(out)["d_star"], want, rel_tol=1e-11)
+    assert math.isclose(want, 0.975 * math.log1p(0.6) + 0.025 * math.log1p(-0.6), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("command", [
@@ -231,16 +235,39 @@ def test_growth_matches_summary_reference_with_slack(tmp_path, capsys):
     ["growth"],
 ])
 def test_slack_that_empties_the_interval_exits_2(command, tmp_path, capsys):
-    path = tmp_path / "wide_slack.json"
-    path.write_text(json.dumps(dict(BASE, betting={"cbce": {"slack": 0.4}})), encoding="utf-8")
+    # d=1 shadow estimates of X span [-3, 3]: slack 0.4 empties the bet interval
+    # (-1/3, 1/3), slack 0 admits a bet with a zero capital multiplier
+    for slack in (0.4, 0):
+        path = tmp_path / "wide_slack.json"
+        path.write_text(json.dumps(dict(BASE, betting={"cbce": {"slack": slack}})),
+                        encoding="utf-8")
+        rc = cli.main([command[0], "--scenario", str(path), *command[1:]])
+        assert rc == 2
+        _, err = capsys.readouterr()
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "scenario.betting.cbce.slack" in lines[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--runs", "0"],
+    ["run", "--parallelism", "0"],
+    ["sweep", "--param", "theta1", "--values", "0.5", "--runs", "0"],
+    ["sweep", "--param", "theta1", "--values", "0.5", "--parallelism", "0"],
+    ["growth", "--shots", "0"],
+    ["growth", "--shots", "-5"],
+])
+def test_nonpositive_counts_exit_2(command, tmp_path, capsys):
+    # d=4 is past local enumeration, so growth would take the Monte Carlo path
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps(dict(BASE, d=4)), encoding="utf-8")
     rc = cli.main([command[0], "--scenario", str(path), *command[1:]])
     assert rc == 2
-    _, err = capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
     lines = err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "slack" in lines[0]
-    if command[0] != "growth":
-        assert "scenario.betting.cbce.slack" in lines[0]
+    assert command[-2] in lines[0]
 
 
 def test_growth_requires_finite_changepoint(tmp_path, capsys):

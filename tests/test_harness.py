@@ -322,6 +322,28 @@ def test_matched_growth_reference_uses_scenario_slack():
     assert st.d_star_reference == pytest.approx(want, rel=1e-12)
 
 
+def test_one_estimate_pass_per_enumeration(monkeypatch):
+    # local d=2 has 3^2 settings x 4 outcomes = 36 atoms; the estimates of both
+    # observables at every atom serve the bounds and both states' samplers
+    import shadowcpd.shadows as sh
+
+    calls = []
+    real = sh.estimate_from_setting
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sh, "estimate_from_setting", counting)
+    sc = scenario(d=2, observables={"rotated": 2})
+    hz.ScenarioRuntime(sc)
+    assert len(calls) == 72
+    calls.clear()
+    st = hz.summarize([make_trial(0, 30, sc.nu)], sc)
+    assert st.d_star_reference is not None
+    assert len(calls) <= 72
+
+
 def test_slack_that_leaves_no_bet_is_a_scenario_error():
     # d=1 local X estimates span [-3, 3]: bets lie in (-1/3, 1/3)
     for slack in (0.4, 0.0):

