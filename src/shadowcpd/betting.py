@@ -296,10 +296,13 @@ def growth_curve(probs, values, interval: LambdaInterval, grid_size: int = GROWT
     """Expected log-growth E[log(1 + lam * o)] of each bet on the growth grid.
 
     ``values`` are the finitely many outcomes of o and ``probs`` their
-    probabilities.  Returns (grid, curve).
+    probabilities; atoms sharing a value are merged before the logarithms
+    are taken.  Returns (grid, curve).
     """
     grid = _growth_grid(interval, grid_size)
-    return grid, probs @ np.log1p(values[:, None] * grid[None, :])
+    distinct, atom_value = np.unique(values, return_inverse=True)
+    weights = np.bincount(atom_value, weights=probs, minlength=distinct.size)
+    return grid, weights @ np.log1p(distinct[:, None] * grid[None, :])
 
 
 def growth_estimate(grid_curves) -> GrowthEstimate:

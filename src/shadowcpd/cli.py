@@ -162,10 +162,12 @@ def _cmd_validate(args):
         target = _exact_local_channel(rho.mat, d)
         err = float(np.abs(out - target).max())
         check(f"local channel enumeration d={d} (err {err:.2e})", err <= 1e-10)
-    rho = qcore.make_theta_state(1, 0.61)
-    out = shadows.exact_channel_apply(rho, "joint")
-    err = float(np.abs(out - (rho.mat + np.eye(2)) / 3.0).max())
-    check(f"joint channel enumeration d=1 (err {err:.2e})", err <= 1e-10)
+    # the Clifford ensemble depolarizes: rho -> (rho + I) / (2^d + 1)
+    for d in (1, 2):
+        rho = qcore.make_theta_state(d, 0.61)
+        out = shadows.exact_channel_apply(rho, "joint")
+        err = float(np.abs(out - (rho.mat + np.eye(2**d)) / (2**d + 1.0)).max())
+        check(f"joint channel enumeration d={d} (err {err:.2e})", err <= 1e-10)
 
     # estimates always inside exhaustive bounds
     obs = qcore.rotated_observable(2, 0.0)

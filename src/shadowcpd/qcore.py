@@ -220,21 +220,28 @@ def hermitian_eig(obs):
 def born_probabilities(rho, unitary):
     """Computational-basis outcome distribution of U rho U^dag.
 
+    ``unitary`` may be a stack of shape (..., dim, dim); each setting's
+    distribution, along the last axis, is checked and normalized on its own.
     Small negative diagonal entries above -1e-10 are clamped to zero and
     the vector is renormalized; anything more negative raises.
     """
     rmat = _as_matrix(rho)
     u = np.asarray(unitary, dtype=complex)
-    if u.shape != rmat.shape:
-        raise ValueError(f"unitary shape {u.shape} does not match state {rmat.shape}")
-    probs = np.real(np.einsum("ij,jk,ik->i", u, rmat, u.conj()))
+    if u.shape[-2:] != rmat.shape:
+        raise ValueError(f"unitary shape {u.shape[-2:]} does not match state {rmat.shape}")
+    # a padded output keeps numpy from merging the stack axis into the row
+    # axis, which would change the order in which each row is summed
+    dim = rmat.shape[0]
+    out = np.empty(u.shape[:-2] + (dim + 1,), dtype=complex)[..., :dim]
+    probs = np.real(np.einsum("...ij,jk,...ik->...i", u, rmat, u.conj(), out=out))
     if probs.min() < BORN_CLAMP:
         raise ValueError(f"outcome probability {probs.min():.3e} below clamp {BORN_CLAMP}")
     probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if not (0.9999999 < total < 1.0000001):
-        raise ValueError(f"outcome probabilities sum to {total:.9f}")
-    return probs / total
+    total = probs.sum(axis=-1)
+    ok = (0.9999999 < total) & (total < 1.0000001)
+    if not ok.all():
+        raise ValueError(f"outcome probabilities sum to {np.extract(~ok, total)[0]:.9f}")
+    return probs / total[..., None]
 
 
 def born_sample(rho, unitary, rng):

@@ -256,67 +256,64 @@ def _pauli_from_vec(vec, sign_bit):
     return -out if sign_bit else out
 
 
-def _row_masks(row, sign_bit, d, idx):
-    # packs a tableau row into basis-index masks plus precomputed phases:
-    # P|m> = phase * (-1)^popcount(zm & m) |m ^ xm>, qubit q at index bit d-1-q
-    xm = 0
-    zm = 0
-    for q in range(d):
-        b = d - 1 - q
-        if row[2 * q]:
-            xm |= 1 << b
-        if row[2 * q + 1]:
-            zm |= 1 << b
-    phase = 1j ** ((xm & zm).bit_count())
-    if sign_bit:
-        phase = -phase
-    flips = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zm)) & 1)
-    return xm, phase, flips
+#: i^n, the phase of a Pauli with n Y factors (Y = iXZ), up to the largest register
+_I_POWERS = np.array([1j**n for n in range(MAX_JOINT_QUBITS + 1)])
 
 
-def clifford_unitary_from_tableau(symp, signs):
-    """Dense unitary realizing a stabilizer tableau.
+def clifford_unitaries(symps, signs):
+    """Dense unitaries realizing a stack of stabilizer tableaux.
 
-    Row 2k of ``symp`` is the image of X_k, row 2k+1 the image of Z_k, with
-    sign bits from ``signs``.  The unitary is built column by column: the
-    image of |0...0> is read off the stabilizer projector and the remaining
-    columns follow by applying the X images.  Global phase is arbitrary.
+    ``symps`` has shape (n, 2d, 2d) and ``signs`` shape (n, 2d).  Row 2k of
+    a tableau is the image of X_k, row 2k+1 the image of Z_k, with sign bits
+    from ``signs``.  Each image P acts as a signed permutation of the basis,
+    P|m> = phase * (-1)^popcount(zm & m) |m ^ xm> with qubit q at index bit
+    d-1-q.  The image of |0...0> is the first nonzero column of the
+    stabilizer projector, the product of (I + g)/2 over the Z images,
+    normalized; the remaining columns follow by doubling over the X images.
+    Returns shape (n, 2^d, 2^d); global phase is arbitrary.
     """
-    nn = symp.shape[0]
+    symps = np.asarray(symps)
+    signs = np.asarray(signs)
+    n, nn = symps.shape[:2]
     d = nn // 2
     dim = 1 << d
-    idx = np.arange(dim, dtype=np.uint64)
-    x_ops = [_row_masks(symp[2 * k], signs[2 * k], d, idx) for k in range(d)]
-    z_ops = [_row_masks(symp[2 * k + 1], signs[2 * k + 1], d, idx) for k in range(d)]
-    psi0 = None
-    for j in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[j] = 1.0
-        for xm, phase, flips in z_ops:
-            v = (v + phase * (flips * v)[idx ^ np.uint64(xm)]) * 0.5
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-6:
-            psi0 = v / nrm
-            break
-    if psi0 is None:
+    batch = np.arange(n)
+    rows = batch[:, None]
+    idx = np.arange(dim)
+    place = 1 << np.arange(d - 1, -1, -1)
+    xm = symps[:, :, 0::2] @ place
+    zm = symps[:, :, 1::2] @ place
+    phase = _I_POWERS[np.bitwise_count(xm & zm)]
+    phase = np.where(signs == 1, -phase, phase)[:, :, None, None]
+    flips = (1.0 - 2.0 * (np.bitwise_count(idx & zm[:, :, None]) & 1))[:, :, :, None]
+    perm = idx ^ xm[:, :, None]
+
+    def apply(g, vecs):
+        # image of generator row g on the stacked column vectors
+        return phase[:, g] * (flips[:, g] * vecs)[rows, perm[:, g]]
+
+    proj = np.eye(dim, dtype=complex)
+    for k in range(d):
+        proj = (proj + apply(2 * k + 1, proj)) * 0.5
+    norms = np.sqrt((proj.real**2 + proj.imag**2).sum(axis=1))
+    nonzero = norms > 1e-6
+    if not nonzero.any(axis=1).all():
         raise ValueError("tableau does not define a stabilizer state")
-    cols = np.empty((dim, dim), dtype=complex)
-    cols[:, 0] = psi0
-    for x in range(1, dim):
-        vec = psi0
-        for k in range(d):
-            if (x >> (d - 1 - k)) & 1:
-                xm, phase, flips = x_ops[k]
-                vec = phase * (flips * vec)[idx ^ np.uint64(xm)]
-        cols[:, x] = vec
-    return cols
+    first = nonzero.argmax(axis=1)
+    out = np.empty((n, dim, dim), dtype=complex)
+    out[:, :, 0] = proj[batch, :, first] / norms[batch, first][:, None]
+    for k in range(d):
+        # columns indexed by the top k bits alone are filled; X_k sets bit d-1-k
+        split = out.reshape(n, dim, 1 << k, 2, dim >> (k + 1))
+        split[:, :, :, 1, 0] = apply(2 * k, split[:, :, :, 0, 0])
+    return out
 
 
 def sample_clifford_unitary(d, rng):
     """Uniformly random d-qubit Clifford unitary (up to global phase)."""
     symp = sample_symplectic(d, rng)
     signs = rng.integers(0, 2, size=2 * d)
-    return clifford_unitary_from_tableau(symp, signs)
+    return clifford_unitaries(symp[None], signs[None])[0]
 
 
 MAX_ENUM_JOINT = 2
@@ -333,17 +330,13 @@ def clifford_group(d):
     if not 1 <= d <= MAX_ENUM_JOINT:
         raise ValueError(f"clifford_group supports 1 <= d <= {MAX_ENUM_JOINT}")
     if d not in _CLIFFORD_GROUPS:
-        mats = []
-        for symp in enumerate_symplectic(d):
-            for signs in itertools.product((0, 1), repeat=2 * d):
-                mats.append(clifford_unitary_from_tableau(symp, np.array(signs)))
-        _CLIFFORD_GROUPS[d] = mats
+        symps = np.array(list(enumerate_symplectic(d)))
+        signs = np.array(list(itertools.product((0, 1), repeat=2 * d)))
+        group = clifford_unitaries(np.repeat(symps, len(signs), axis=0),
+                                   np.tile(signs, (len(symps), 1)))
+        group.flags.writeable = False
+        _CLIFFORD_GROUPS[d] = group
     return _CLIFFORD_GROUPS[d]
-
-
-def single_qubit_cliffords():
-    """The 24 single-qubit Clifford unitaries (cached, fixed order)."""
-    return clifford_group(1)
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +496,17 @@ def _iter_settings(kind, d):
         raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
+def _setting_unitaries(kind, d):
+    """Every setting's rotation, stacked in enumeration order."""
+    if kind == "joint":
+        return clifford_group(d)
+    return np.array([setting_unitary(setting) for setting, _ in _iter_settings(kind, d)])
+
+
 def exact_channel_apply(rho, kind):
     """Exact measurement channel E[U^dag |X><X| U] by full enumeration."""
     # row x of conj(U) is the measured ket U^dag |x>, one row per atom
-    kets = np.concatenate([setting_unitary(setting).conj()
-                           for setting, _ in _iter_settings(kind, rho.n_qubits)])
+    kets = _setting_unitaries(kind, rho.n_qubits).conj().reshape(-1, rho.dim)
     return (kets.T * outcome_probabilities(rho, kind)) @ kets.conj()
 
 
@@ -518,6 +517,14 @@ def outcome_values(observables, kind, d):
     ``outcome_probabilities``.  An estimate depends on the atom and the
     observable only, so one table serves every state of the register.
     """
+    if kind == "joint":
+        # stacked snapshots (2^d + 1)|psi><psi| - I of every measured ket
+        dim = 1 << d
+        kets = _setting_unitaries(kind, d).conj().reshape(-1, dim)
+        snaps = ((dim + 1.0) * (kets[:, :, None] * kets.conj()[:, None, :])
+                 - np.eye(dim, dtype=complex))
+        return np.stack([np.trace(o.mat @ snaps, axis1=1, axis2=2).real for o in observables],
+                        axis=1)
     values = []
     for setting, _ in _iter_settings(kind, d):
         for idx in range(1 << d):
@@ -528,8 +535,8 @@ def outcome_values(observables, kind, d):
 
 def outcome_probabilities(rho, kind):
     """Probability of every (setting, outcome) atom under state ``rho``."""
-    return np.concatenate([w * born_probabilities(rho, setting_unitary(setting))
-                           for setting, w in _iter_settings(kind, rho.n_qubits)])
+    unitaries = _setting_unitaries(kind, rho.n_qubits)
+    return ((1.0 / len(unitaries)) * born_probabilities(rho, unitaries)).ravel()
 
 
 def outcome_distribution(rho, observables, kind):

@@ -243,6 +243,21 @@ def test_cbce_strongly_adaptive_regret_shrinks():
     assert ratios[0] > ratios[1] > ratios[2]
 
 
+def test_growth_curve_folds_repeated_values():
+    # merging atoms that share a value must not move the curve beyond
+    # rounding: the joint d=2 table (46080 atoms) and a small hand table
+    probs, values = sh.outcome_distribution(
+        qc.make_theta_state(2, 0.6), [qc.rotated_observable(2, 0.3)], "joint")
+    small = (np.array([0.1, 0.25, 0.05, 0.3, 0.2, 0.1]),
+             np.array([1.0, -2.0, 1.0, 0.5, -2.0, 1.0]))
+    for p, v in ((probs, values[:, 0]), small):
+        interval = bt.lambda_interval((v.min(), v.max()))
+        grid, curve = bt.growth_curve(p, v, interval)
+        assert np.array_equal(grid, bt._growth_grid(interval, bt.GROWTH_GRID_SIZE))
+        unfolded = p @ np.log1p(v[:, None] * grid[None, :])
+        assert np.abs(curve - unfolded).max() <= 1e-12
+
+
 def test_growth_rate_exact_single_qubit():
     # ô for X on the theta=1 state: 3 w.p. 1/3, else 0; best bet sits at the
     # slack-trimmed top of the interval

@@ -288,4 +288,5 @@ def test_validate_passes(capsys):
     assert rc == 0
     out, _ = capsys.readouterr()
     assert "FAIL" not in out
-    assert out.count("PASS") >= 4
+    assert out.count("PASS") >= 5
+    assert "PASS  joint channel enumeration d=2" in out

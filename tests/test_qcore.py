@@ -119,6 +119,23 @@ def test_born_probabilities_normalized_and_nonnegative():
         assert abs(probs.sum() - 1.0) < 1e-10
 
 
+def test_stacked_born_probabilities_check_each_setting():
+    # a stack raises the ValueError of the single-unitary call on the
+    # offending setting: probability below the clamp, bad sum, shape mismatch
+    h = qc.HADAMARD
+    cases = [
+        (np.diag([1.5, -0.5]), np.eye(2), [h, np.eye(2), h]),
+        (qc.make_theta_state(1, 0.3), 1.1 * np.eye(2), [h, 1.1 * np.eye(2), np.eye(2)]),
+        (qc.make_theta_state(2, 0.3), np.eye(2), [np.eye(2)] * 3),
+    ]
+    for rho, single, stack in cases:
+        with pytest.raises(ValueError) as want:
+            qc.born_probabilities(rho, single)
+        with pytest.raises(ValueError) as got:
+            qc.born_probabilities(rho, np.array(stack))
+        assert str(got.value) == str(want.value)
+
+
 def test_born_sample_matches_distribution():
     # Z-basis measurement of |+X+> style state: uniform bits
     rho = qc.make_theta_state(1, 1.0)

@@ -100,22 +100,37 @@ def test_clifford_group_rejects_large_d():
         sh.clifford_group(3)
 
 
-def test_lifted_unitaries_permute_paulis():
-    # a Clifford must map each Pauli to a signed Pauli; check U X U^dag for
-    # sampled tableaus against the tableau's own row prescription
-    rng = np.random.default_rng(9)
+def test_clifford_group_matches_one_tableau_lift():
+    # the group is lifted as one stack; each element must equal the lift of
+    # its own tableau, in enumerate_symplectic x sign order
     for d in (1, 2):
-        for _ in range(5):
-            symp = sh.sample_symplectic(d, rng)
-            signs = rng.integers(0, 2, size=2 * d)
-            u = sh.clifford_unitary_from_tableau(symp, signs)
+        group = sh.clifford_group(d)
+        tableaux = [(symp, np.array(signs)) for symp in sh.enumerate_symplectic(d)
+                    for signs in itertools.product((0, 1), repeat=2 * d)]
+        assert len(group) == len(tableaux)
+        for u, (symp, signs) in zip(group, tableaux):
+            assert np.array_equal(u, sh.clifford_unitaries(symp[None], signs[None])[0])
+
+
+def test_lifted_unitaries_permute_paulis():
+    # a Clifford must map each Pauli to a signed Pauli; check U P U^dag for
+    # sampled tableaus against the tableau's own row prescription, lifting
+    # them as one stack and one at a time
+    rng = np.random.default_rng(9)
+    for d in range(1, 7):
+        symps = np.array([sh.sample_symplectic(d, rng) for _ in range(3)])
+        signs = rng.integers(0, 2, size=(3, 2 * d))
+        stack = sh.clifford_unitaries(symps, signs)
+        for symp, sign, u in zip(symps, signs, stack):
+            assert np.array_equal(u, sh.clifford_unitaries(symp[None], sign[None])[0])
             for k in range(d):
-                letters = ["I"] * d
-                letters[k] = "X"
-                src = qc.pauli_string("".join(letters)).mat
-                image = u @ src @ u.conj().T
-                want = sh._pauli_from_vec(symp[2 * k], signs[2 * k])
-                assert np.allclose(image, want, atol=1e-9)
+                for row, letter in ((2 * k, "X"), (2 * k + 1, "Z")):
+                    letters = ["I"] * d
+                    letters[k] = letter
+                    src = qc.pauli_string("".join(letters)).mat
+                    image = u @ src @ u.conj().T
+                    want = sh._pauli_from_vec(symp[row], sign[row])
+                    assert np.allclose(image, want, atol=1e-9)
 
 
 def test_sample_clifford_unitary_is_unitary():
@@ -238,6 +253,35 @@ def test_outcome_distribution_joint_two_qubits():
     assert probs.shape == (11520 * 4,)
     assert abs(probs.sum() - 1.0) < 1e-9
     assert abs(float(probs @ values[:, 0]) - qc.expectation(rho, obs)) < 1e-9
+
+
+def test_outcome_tables_match_per_atom_reference():
+    # the stacked tables must equal, bit for bit, estimates and Born weights
+    # computed one setting and one outcome at a time
+    rng = np.random.default_rng(53)
+    for kind, d in (("local", 1), ("local", 2), ("local", 3), ("joint", 1), ("joint", 2)):
+        dim = 2**d
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        observables = [qc.rotated_observable(d, 0.3),
+                       qc.pauli_string(random_pauli_letters(rng, d)),
+                       qc.Observable(g + g.conj().T)]
+        states = [qc.make_theta_state(d, 0.61), qc.DensityMatrix(random_density(rng, d))]
+        values = sh.outcome_values(observables, kind, d)
+        tables = [sh.outcome_probabilities(rho, kind) for rho in states]
+        settings = list(sh._iter_settings(kind, d))
+        assert values.shape == (len(settings) * dim, len(observables))
+        outcomes = [[(x >> (d - 1 - k)) & 1 for k in range(d)] for x in range(dim)]
+        # every setting, except a stride over the 11520 joint d=2 settings
+        stride = 7 if kind == "joint" and d == 2 else 1
+        for s in range(0, len(settings), stride):
+            setting, w = settings[s]
+            atoms = slice(s * dim, (s + 1) * dim)
+            want = [[sh.estimate_from_setting(setting, bits, o) for o in observables]
+                    for bits in outcomes]
+            assert np.array_equal(values[atoms], np.array(want))
+            for rho, probs in zip(states, tables):
+                want = w * qc.born_probabilities(rho, sh.setting_unitary(setting))
+                assert np.array_equal(probs[atoms], want)
 
 
 def test_sample_estimates_deterministic_and_in_bounds():
