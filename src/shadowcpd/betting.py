@@ -167,17 +167,37 @@ def covering_intervals(t: int):
     return out
 
 
-@dataclass
-class _CoinEntry:
-    # one covering interval: its expert's coin state plus the cached bet round
-    t1: int
-    t2: int
-    sum_g: float = 0.0
-    wealth: float = 1.0
-    rounds: int = 0
-    beta: float = 0.0
-    lam: float = 0.0
-    backed: bool = False
+def _interval_prior(t1: int) -> float:
+    """Unnormalized prior 1 / (t1^2 (1 + floor(log2 t1))) of an expert started at t1."""
+    return 1.0 / (t1 * t1 * (1 + int(math.log2(t1))))
+
+
+class CBCELayout:
+    """Birth order of the experts CBCE holds at each step t.
+
+    At step t one expert lives on each level k = 0 .. t.bit_length() - 1,
+    the covering interval of length 2^k that contains t.  Every reduction
+    over the experts runs in birth order (start time, then level),
+    including the sum that normalizes their priors.  Both depend on t
+    alone, so one layout serves every bettor built from a scenario; it
+    holds one entry per step reached.
+    """
+
+    def __init__(self):
+        self._orders = [()]  # no expert before the first step
+        self._prior_sums = [0.0]
+
+    def at(self, t: int):
+        """(levels in birth order, sum of their unnormalized priors)."""
+        orders = self._orders
+        while len(orders) <= t:
+            starts = [t1 for t1, _ in covering_intervals(len(orders))]
+            # a tuple of ints, which the garbage collector stops tracking
+            order = tuple(sorted(range(len(starts)), key=lambda k: (starts[k], k)))
+            orders.append(order)
+            priors = np.array([_interval_prior(starts[k]) for k in order])
+            self._prior_sums.append(float(priors.sum()))
+        return orders[t], self._prior_sums[t]
 
 
 class CBCEBettor:
@@ -188,18 +208,30 @@ class CBCEBettor:
     aggregate each expert has been.  Restarting experts on geometric
     intervals is what buys adaptivity to the changepoint.
 
+    Expert state is held per level: the level-k expert restarts whenever
+    2^k divides t, and a new level opens at every power of two.  Bettors
+    of one scenario share a ``CBCELayout``.
+
     Call ``step(o_prev)`` once per time step, passing the estimate
     observed after the previous bet (absent only on the first call).
     """
 
-    def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE):
+    def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE,
+                 layout: CBCELayout | None = None):
         self.interval = interval
         self.o_bounds = _bounds_pair(o_bounds)
         self.k = int(k)
         self.grid = chebyshev_grid(interval, k)
+        self.layout = layout if layout is not None else CBCELayout()
         self.t = 1
-        self.entries: list[_CoinEntry] = []
+        # per level: UP log-wealth row, unnormalized prior and coin state
         self._log_wealth = np.zeros((0, self.k))
+        self._prior = []
+        self._sum_g = []
+        self._wealth = []
+        self._beta = []
+        self._lam = []
+        self._backed = []
         self.last_lam = 0.0
         self.last_weights = np.zeros(0)
         self.loss_bound = self._loss_bound()
@@ -219,59 +251,75 @@ class CBCEBettor:
             )
         return max(abs(math.log(m_min)), abs(math.log(m_max)))
 
+    @property
+    def entries(self):
+        """(t1, t2) of the experts behind the last bet, in birth order."""
+        t = self.t - 1
+        return [((t >> k) << k, (((t >> k) + 1) << k) - 1) for k in self.layout.at(t)[0]]
+
     def step(self, o_prev=None) -> float:
-        if self.t == 1:
+        t = self.t
+        if t == 1:
             if o_prev is not None:
                 raise ValueError("no estimate precedes the first bet")
         elif o_prev is None:
-            raise ValueError(f"step {self.t} needs the estimate observed at step {self.t - 1}")
+            raise ValueError(f"step {t} needs the estimate observed at step {t - 1}")
+        levels = t.bit_length()
+        born = (t & -t).bit_length()  # levels 0 .. born-1 start at t
+        if born == levels:
+            # t is a power of two: every expert restarts and one level opens
+            self._log_wealth = np.zeros((levels, self.k))
+            for state in (self._prior, self._sum_g, self._wealth, self._beta, self._lam,
+                          self._backed):
+                state.append(None)
         if o_prev is not None:
-            self._absorb(float(o_prev))
-        self._refresh_active()
-        return self._bet()
-
-    def _absorb(self, o_hat: float) -> None:
-        _check_estimate(o_hat, self.o_bounds)
+            o_hat = float(o_prev)
+            _check_estimate(o_hat, self.o_bounds)
+            meta_loss = -math.log1p(self.last_lam * o_hat)
+            if born < levels:
+                self._log_wealth[born:] += np.log1p(self.grid * o_hat)
+                self._log_wealth[:born] = 0.0
+        order, prior_sum = self.layout.at(t)
+        lams_arr = _up_bets(self._log_wealth.take(order, axis=0), self.grid)
+        lams = lams_arr.tolist()
+        prior, sum_g, wealth = self._prior, self._sum_g, self._wealth
+        beta, lam, backed = self._beta, self._lam, self._backed
+        born_prior = _interval_prior(t)
         scale = 2.0 * self.loss_bound
-        meta_loss = -math.log1p(self.last_lam * o_hat)
-        for entry in self.entries:
-            g = (meta_loss + math.log1p(entry.lam * o_hat)) / scale
-            g = min(1.0, max(-1.0, g))
-            if not entry.backed:
-                g = max(g, 0.0)
-            entry.wealth *= 1.0 + entry.beta * g
-            entry.sum_g += g
-            entry.rounds += 1
-        self._log_wealth += np.log1p(self.grid * o_hat)
-
-    def _refresh_active(self) -> None:
-        t = self.t
-        keep = [i for i, e in enumerate(self.entries) if e.t2 >= t]
-        if len(keep) != len(self.entries):
-            self.entries = [self.entries[i] for i in keep]
-            self._log_wealth = self._log_wealth[keep]
-        born = [(t1, t2) for t1, t2 in covering_intervals(t) if t1 == t]
-        if born:
-            self.entries.extend(_CoinEntry(t1, t2) for t1, t2 in born)
-            self._log_wealth = np.vstack([self._log_wealth, np.zeros((len(born), self.k))])
-
-    def _bet(self) -> float:
-        prior = np.array([
-            1.0 / (e.t1 * e.t1 * (1 + int(math.log2(e.t1)))) for e in self.entries
-        ])
-        prior /= prior.sum()
-        lams = _up_bets(self._log_wealth, self.grid)
-        raw = np.empty(len(self.entries))
-        for i, entry in enumerate(self.entries):
-            entry.beta = entry.sum_g / (entry.rounds + 1)
-            entry.lam = float(lams[i])
-            raw[i] = prior[i] * max(0.0, entry.beta * entry.wealth)
-            entry.backed = raw[i] > 0.0
+        raw = []
+        for i, lv in enumerate(order):
+            if lv < born:
+                prior[lv] = born_prior
+                sum_g[lv] = 0.0
+                wealth[lv] = 1.0
+            else:
+                # absorb o_hat with the bet this expert made last step
+                g = (meta_loss + math.log1p(lam[lv] * o_hat)) / scale
+                if g > 1.0:
+                    g = 1.0
+                elif g < -1.0:
+                    g = -1.0
+                if g < 0.0 and not backed[lv]:
+                    g = 0.0
+                wealth[lv] *= 1.0 + beta[lv] * g
+                sum_g[lv] += g
+            # the level-lv expert has absorbed t mod 2^lv rounds
+            b = sum_g[lv] / ((t & ((1 << lv) - 1)) + 1)
+            beta[lv] = b
+            lam[lv] = lams[i]
+            stake = b * wealth[lv]
+            r = prior[lv] / prior_sum * stake if stake > 0.0 else 0.0
+            backed[lv] = r > 0.0
+            raw.append(r)
+        raw = np.array(raw)
         total = raw.sum()
-        weights = raw / total if total > 0.0 else prior
+        if total > 0.0:
+            weights = raw / total
+        else:
+            weights = np.array([prior[lv] / prior_sum for lv in order])
         self.last_weights = weights
-        self.last_lam = self.interval.clip(float(weights @ lams))
-        self.t += 1
+        self.last_lam = self.interval.clip(float(weights @ lams_arr))
+        self.t = t + 1
         return self.last_lam
 
 

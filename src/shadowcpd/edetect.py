@@ -100,38 +100,43 @@ class SequentialDetector:
         n = config.n_observables
         self._w = np.asarray(config.weights, dtype=float)
         self._logw = np.log(self._w)
-        self._msr = np.zeros(n)
-        self._mcu = np.zeros(n)
-        self._osr = np.zeros(n)
-        self._ocu = np.zeros(n)
+        # per-observable SR/CUSUM mantissas and log offsets
+        self._msr = [0.0] * n
+        self._mcu = [0.0] * n
+        self._osr = [0.0] * n
+        self._ocu = [0.0] * n
+        self._threshold = config.threshold
         self._log_threshold = math.log(config.threshold)
         self.stopped = False
         self.t = 0
 
     @property
     def n_observables(self) -> int:
-        return self._msr.size
+        return len(self._msr)
 
     def advance(self, increments) -> bool:
         """Apply one round: SR m <- L * (m + 1) and CUSUM m <- L * max(m, 1)."""
         if self.stopped:
             raise RuntimeError("detector already stopped; cannot step further")
-        if len(increments) != self.n_observables:
+        if len(increments) != len(self._msr):
             raise ValueError(f"expected {self.n_observables} increments, got {len(increments)}")
         self.t += 1
+        msr, mcu, osr, ocu = self._msr, self._mcu, self._osr, self._ocu
         for i, incr in enumerate(increments):
             if incr is None:
                 continue
             if not incr > 0.0:
                 raise ValueError(f"capital multiplier must be positive, got {incr!r}")
-            self._msr[i] = incr * (self._msr[i] + math.exp(-self._osr[i]))
-            while self._msr[i] > PROMOTE_AT:
-                self._msr[i] /= PROMOTE_AT
-                self._osr[i] += _LOG_PROMOTE
-            self._mcu[i] = incr * max(self._mcu[i], math.exp(-self._ocu[i]))
-            while self._mcu[i] > PROMOTE_AT:
-                self._mcu[i] /= PROMOTE_AT
-                self._ocu[i] += _LOG_PROMOTE
+            m = incr * (msr[i] + math.exp(-osr[i]))
+            while m > PROMOTE_AT:
+                m /= PROMOTE_AT
+                osr[i] += _LOG_PROMOTE
+            msr[i] = m
+            m = incr * max(mcu[i], math.exp(-ocu[i]))
+            while m > PROMOTE_AT:
+                m /= PROMOTE_AT
+                ocu[i] += _LOG_PROMOTE
+            mcu[i] = m
         mixture, stop = self._decide()
         if stop:
             self.stopped = True
@@ -145,10 +150,10 @@ class SequentialDetector:
             m, off = self._msr, self._osr
         else:
             m, off = self._mcu, self._ocu
-        if not off.any():
+        if not any(off):
             # exact in linear scale, so a boundary hit M == threshold stops
             mixture = float(np.dot(self._w, m))
-            return mixture, mixture >= self.config.threshold
+            return mixture, mixture >= self._threshold
         with np.errstate(divide="ignore"):
             logs = self._logw + np.log(m) + off
         lm = float(np.logaddexp.reduce(logs))

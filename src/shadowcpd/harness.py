@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .betting import (
     CBCEBettor,
+    CBCELayout,
     ConstantBettor,
     GROWTH_SHOTS,
     GrowthEstimate,
@@ -399,6 +400,7 @@ class ScenarioRuntime:
 
         cfg = sc.betting.get("cbce", {})
         self.bet_grid = cfg.get("grid", UP_GRID_SIZE)
+        self.cbce_layout = CBCELayout()
         slack = cfg.get("slack")
         two_sided = cfg.get("two_sided", False)
 
@@ -460,7 +462,8 @@ class ScenarioRuntime:
     def make_bettor(self, i: int):
         if "constant" in self.scenario.betting:
             return ConstantBettor(float(self.scenario.betting["constant"]))
-        return CBCEBettor(self.bet_intervals[i], self.o_bounds[i], k=self.bet_grid)
+        return CBCEBettor(self.bet_intervals[i], self.o_bounds[i], k=self.bet_grid,
+                          layout=self.cbce_layout)
 
 
 @dataclass(frozen=True)
@@ -512,14 +515,12 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
     if sc.policy == "escd":
         bettors = [rt.make_bettor(i) for i in range(n)]
         prev = [None] * n
-        lams = np.empty(n)
         for t in range(1, sc.run_cap + 1):
             post = sc.nu is not None and t >= sc.nu
             sampler = rt.post_sampler if post else rt.pre_sampler
-            for i in range(n):
-                lams[i] = bettors[i].step(prev[i])
-            ests = sampler.draw(rng)
-            if detector.advance(1.0 + lams * ests):
+            lams = [bettor.step(o) for bettor, o in zip(bettors, prev)]
+            ests = sampler.draw(rng).tolist()
+            if detector.advance([1.0 + lam * o for lam, o in zip(lams, ests)]):
                 stop_at = t
                 break
             prev = ests

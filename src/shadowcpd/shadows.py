@@ -213,11 +213,8 @@ def _symplectic_rows_from_levels(levels):
 
 
 def _rows_to_matrix(rows, nn):
-    g = np.zeros((nn, nn), dtype=np.int64)
-    for j, row in enumerate(rows):
-        for b in range(nn):
-            g[j, b] = (row >> b) & 1
-    return g
+    # bit b of packed row j becomes entry [j, b]
+    return (np.array(rows, dtype=np.int64)[:, None] >> np.arange(nn)) & 1
 
 
 def _symplectic_from_levels(levels):

@@ -1,6 +1,7 @@
 """Admissible intervals, UP experts, covering intervals, CBCE, growth rates."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -211,6 +212,128 @@ def test_cbce_adapts_after_adversarial_prefix():
     oracle = np.log1p(np.outer([3.0] * 50, grid)).sum(axis=0).max()
     budget = 5.0 * math.sqrt(50.0 * (7.0 * math.log(100.0) + 5.0))
     assert post >= oracle - budget
+
+
+@dataclass
+class _RefEntry:
+    t1: int
+    t2: int
+    sum_g: float = 0.0
+    wealth: float = 1.0
+    rounds: int = 0
+    beta: float = 0.0
+    lam: float = 0.0
+    backed: bool = False
+
+
+class ReferenceCBCE:
+    """Plain CBCE: a list of per-interval expert records in birth order,
+    filtered and extended from ``covering_intervals`` at every step.  The
+    production bettor must reproduce it bit for bit."""
+
+    def __init__(self, interval, o_bounds, k=bt.UP_GRID_SIZE):
+        self.interval = interval
+        self.o_bounds = o_bounds
+        self.k = k
+        self.grid = bt.chebyshev_grid(interval, k)
+        self.t = 1
+        self.entries = []
+        self.log_wealth = np.zeros((0, k))
+        self.last_lam = 0.0
+        self.last_weights = np.zeros(0)
+        self.loss_bound = bt.CBCEBettor(interval, o_bounds, k).loss_bound
+
+    def step(self, o_prev=None):
+        if o_prev is not None:
+            o_hat = float(o_prev)
+            scale = 2.0 * self.loss_bound
+            meta_loss = -math.log1p(self.last_lam * o_hat)
+            for e in self.entries:
+                g = (meta_loss + math.log1p(e.lam * o_hat)) / scale
+                g = min(1.0, max(-1.0, g))
+                if not e.backed:
+                    g = max(g, 0.0)
+                e.wealth *= 1.0 + e.beta * g
+                e.sum_g += g
+                e.rounds += 1
+            self.log_wealth += np.log1p(self.grid * o_hat)
+        t = self.t
+        keep = [i for i, e in enumerate(self.entries) if e.t2 >= t]
+        if len(keep) != len(self.entries):
+            self.entries = [self.entries[i] for i in keep]
+            self.log_wealth = self.log_wealth[keep]
+        born = [(t1, t2) for t1, t2 in bt.covering_intervals(t) if t1 == t]
+        if born:
+            self.entries.extend(_RefEntry(t1, t2) for t1, t2 in born)
+            self.log_wealth = np.vstack([self.log_wealth, np.zeros((len(born), self.k))])
+        prior = np.array([1.0 / (e.t1 * e.t1 * (1 + int(math.log2(e.t1)))) for e in self.entries])
+        prior /= prior.sum()
+        lams = bt._up_bets(self.log_wealth, self.grid)
+        raw = np.empty(len(self.entries))
+        for i, e in enumerate(self.entries):
+            e.beta = e.sum_g / (e.rounds + 1)
+            e.lam = float(lams[i])
+            raw[i] = prior[i] * max(0.0, e.beta * e.wealth)
+            e.backed = raw[i] > 0.0
+        total = raw.sum()
+        weights = raw / total if total > 0.0 else prior
+        self.last_weights = weights
+        self.last_lam = self.interval.clip(float(weights @ lams))
+        self.t += 1
+        return self.last_lam
+
+
+def _oracle_streams(lower, upper, steps):
+    rng = np.random.default_rng(2100)
+    return {
+        "uniform": rng.uniform(lower, upper, size=steps).tolist(),
+        "extremes": [lower if t % 2 else upper for t in range(steps)],
+        "zeros": [0.0] * steps,
+    }
+
+
+@pytest.mark.parametrize("k", [bt.UP_GRID_SIZE, 2])
+@pytest.mark.parametrize("two_sided", [True, False])
+def test_cbce_matches_reference_bit_for_bit(k, two_sided):
+    # the reductions over experts (prior sum, UP bets, raw sum, weighted
+    # bet) run in birth order; any other order moves bets by ulps
+    bounds = (-1.0, 9.0)
+    full = bt.lambda_interval(bounds)
+    interval = full if two_sided else full.nonnegative()
+    for name, stream in _oracle_streams(*bounds, 2100).items():
+        fast = bt.CBCEBettor(interval, bounds, k)
+        ref = ReferenceCBCE(interval, bounds, k)
+        o_prev = None
+        for t, o in enumerate(stream, start=1):
+            lam = fast.step(o_prev)
+            assert lam == ref.step(o_prev), (name, t)
+            assert np.array_equal(fast.last_weights, ref.last_weights), (name, t)
+            assert fast.entries == [(e.t1, e.t2) for e in ref.entries], (name, t)
+            o_prev = o
+
+
+def test_cbce_experts_are_the_covering_intervals():
+    bettor = bt.CBCEBettor(bt.lambda_interval((-3.0, 3.0)), (-3.0, 3.0))
+    rng = np.random.default_rng(4096)
+    assert bettor.entries == []
+    o_prev = None
+    for t in range(1, 4097):
+        bettor.step(o_prev)
+        assert set(bettor.entries) == set(bt.covering_intervals(t))
+        assert len(bettor.entries) == t.bit_length()
+        o_prev = float(rng.uniform(-3.0, 3.0))
+
+
+def test_cbce_bettors_share_a_layout():
+    interval = bt.lambda_interval((-3.0, 3.0))
+    layout = bt.CBCELayout()
+    shared = [bt.CBCEBettor(interval, (-3.0, 3.0), layout=layout) for _ in range(2)]
+    alone = bt.CBCEBettor(interval, (-3.0, 3.0))
+    o_prev = None
+    for o in np.random.default_rng(3).uniform(-3.0, 3.0, size=300).tolist():
+        lams = [b.step(o_prev) for b in shared + [alone]]
+        assert lams[0] == lams[1] == lams[2]
+        o_prev = o
 
 
 def sar_ratio(t_len, rng):

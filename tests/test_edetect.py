@@ -248,3 +248,66 @@ def test_average_run_length_floor_under_null_feed():
     stops = np.asarray(stops, dtype=float)
     se = stops.std(ddof=1) / math.sqrt(len(stops))
     assert stops.mean() >= 1.0 / alpha - se
+
+
+class ReferenceDetector:
+    """The SR/CUSUM recursion on numpy state vectors, with the mixture
+    taken the same way; the production detector must match it bit for bit."""
+
+    def __init__(self, config):
+        n = config.n_observables
+        self.config = config
+        self.w = np.asarray(config.weights, dtype=float)
+        self.logw = np.log(self.w)
+        self.msr, self.mcu, self.osr, self.ocu = (np.zeros(n) for _ in range(4))
+
+    def advance(self, increments):
+        for i, incr in enumerate(increments):
+            if incr is None:
+                continue
+            self.msr[i] = incr * (self.msr[i] + math.exp(-self.osr[i]))
+            while self.msr[i] > ed.PROMOTE_AT:
+                self.msr[i] /= ed.PROMOTE_AT
+                self.osr[i] += math.log(ed.PROMOTE_AT)
+            self.mcu[i] = incr * max(self.mcu[i], math.exp(-self.ocu[i]))
+            while self.mcu[i] > ed.PROMOTE_AT:
+                self.mcu[i] /= ed.PROMOTE_AT
+                self.ocu[i] += math.log(ed.PROMOTE_AT)
+        return self.decide()
+
+    def decide(self):
+        if self.config.kind == ed.SR:
+            m, off = self.msr, self.osr
+        else:
+            m, off = self.mcu, self.ocu
+        if not off.any():
+            mixture = float(np.dot(self.w, m))
+            return mixture, mixture >= self.config.threshold
+        with np.errstate(divide="ignore"):
+            lm = float(np.logaddexp.reduce(self.logw + np.log(m) + off))
+        return (math.exp(lm) if lm < 709.0 else math.inf), lm >= math.log(self.config.threshold)
+
+
+@pytest.mark.parametrize("kind", [ed.SR, ed.CUSUM])
+@pytest.mark.parametrize("n", [1, 8])
+def test_detector_matches_reference_bit_for_bit(kind, n):
+    # dense rows for one observable, one-hot sparse rows for eight; 3e12
+    # multipliers push statistics through PROMOTE_AT into the log offsets
+    rng = np.random.default_rng(1000 + n)
+    for alpha in (1e-300, 0.01):
+        config = ed.DetectorConfig(weights=ed.uniform_weights(n), alpha=alpha, kind=kind)
+        det = ed.SequentialDetector(config)
+        ref = ReferenceDetector(config)
+        for t in range(1, 3001):
+            mult = 3e12 if rng.random() < 0.02 else float(np.exp(rng.normal(0.0, 0.3)))
+            row = [None] * n
+            row[int(rng.integers(n))] = mult
+            stop = det.advance(row)
+            mixture, ref_stop = ref.advance(row)
+            assert det.mixture() == mixture, (alpha, t)
+            assert stop == ref_stop, (alpha, t)
+            if stop:
+                break
+        assert det.t == t
+        # the tiny alpha reaches the log offsets, the other one stops
+        assert ref.osr.any() if alpha == 1e-300 else det.stopped

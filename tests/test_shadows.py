@@ -68,6 +68,32 @@ def test_sample_symplectic_valid_at_larger_d():
             assert is_symplectic(sh.sample_symplectic(d, rng), d)
 
 
+def bit_loop_matrix(rows, nn):
+    # entry [j, b] is bit b of packed row j, one bit at a time
+    g = np.zeros((nn, nn), dtype=np.int64)
+    for j, row in enumerate(rows):
+        for b in range(nn):
+            g[j, b] = (row >> b) & 1
+    return g
+
+
+def test_symplectic_matrices_match_bit_loop():
+    for d in range(1, 7):
+        draw, replay = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(20):
+            # the same (k, bits) draws sample_symplectic makes
+            levels = [(int(replay.integers(1, 4**m)), int(replay.integers(0, 1 << (2 * m - 1))))
+                      for m in range(d, 0, -1)]
+            want = bit_loop_matrix(sh._symplectic_rows_from_levels(levels), 2 * d)
+            got = sh.sample_symplectic(d, draw)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    ranges = [[(k, b) for k in range(1, 4**m) for b in range(1 << (2 * m - 1))]
+              for m in (2, 1)]
+    for combo, got in zip(itertools.product(*ranges), sh.enumerate_symplectic(2)):
+        want = bit_loop_matrix(sh._symplectic_rows_from_levels(list(combo)), 4)
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # tableau lift
 
