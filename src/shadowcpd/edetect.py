@@ -3,7 +3,7 @@
 Each monitored observable carries a Shiryaev-Roberts statistic and a
 CUSUM statistic, both driven by positive capital multipliers
 L = 1 + lambda * o_hat.  A weighted mixture across observables is
-compared against a threshold (1/alpha for SR, c_alpha for CUSUM) and
+compared against the threshold 1/alpha, for SR and CUSUM alike, and
 crossing it is the detection event.
 
 Statistics are held in linear scale so the recursions stay exact at
@@ -34,7 +34,6 @@ class DetectorConfig:
     weights: tuple
     alpha: float
     kind: str = SR
-    cusum_threshold: float | None = None
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
@@ -49,8 +48,6 @@ class DetectorConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.kind not in (SR, CUSUM):
             raise ValueError(f"kind must be {SR!r} or {CUSUM!r}, got {self.kind!r}")
-        if self.cusum_threshold is not None and not self.cusum_threshold > 0.0:
-            raise ValueError("cusum_threshold must be positive")
 
     @property
     def n_observables(self) -> int:
@@ -58,8 +55,6 @@ class DetectorConfig:
 
     @property
     def threshold(self) -> float:
-        if self.kind == CUSUM and self.cusum_threshold is not None:
-            return self.cusum_threshold
         return 1.0 / self.alpha
 
 

@@ -478,15 +478,6 @@ class TrialResult:
     delay: int | None
     nu: int | None
 
-    def classification(self) -> str:
-        if self.censored:
-            return "censored"
-        if self.nu is None:
-            return "nu_infinite"
-        if self.false_alarm:
-            return "false_alarm"
-        return "delay"
-
 
 def splitmix64(x: int) -> int:
     """One avalanche round of the splitmix64 finalizer."""
@@ -651,8 +642,7 @@ def _growth_reference(scenario: Scenario) -> float | None:
     return scenario_growth(scenario, runtime=rt).d_star
 
 
-def summarize(results, scenario: Scenario | None = None,
-              include_growth: bool = True) -> SummaryStats:
+def summarize(results, scenario: Scenario | None = None) -> SummaryStats:
     """Aggregate metrics; censored runs count at the cap in mean_run_length."""
     if len(results) == 0:
         raise ValueError("cannot summarize zero trials")
@@ -665,7 +655,7 @@ def summarize(results, scenario: Scenario | None = None,
     else:
         quantiles = None
         mean_delay = None
-    d_star = _growth_reference(scenario) if (scenario is not None and include_growth) else None
+    d_star = _growth_reference(scenario) if scenario is not None else None
     return SummaryStats(
         runs=len(results),
         mean_run_length=float(stop_times.mean()),
@@ -701,18 +691,6 @@ def trial_to_dict(r: TrialResult) -> dict:
         "delay": r.delay,
         "nu": r.nu,
     }
-
-
-def trial_from_dict(data: dict) -> TrialResult:
-    return TrialResult(
-        run_index=data["run_index"],
-        seed=data["seed"],
-        stop_time=data["stop_time"],
-        censored=data["censored"],
-        false_alarm=data["false_alarm"],
-        delay=data["delay"],
-        nu=data["nu"],
-    )
 
 
 def results_csv(scenario: Scenario, results) -> str:

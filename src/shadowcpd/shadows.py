@@ -15,16 +15,22 @@ of observables against the snapshot give unbiased single-shot estimates.
 
 Joint Clifford elements are drawn by sampling the symplectic group
 Sp(2d, 2) through the canonical transvection construction of Koenig and
-Smolin, attaching uniform Pauli signs, and lifting the resulting tableau
-to a dense unitary.  The construction is validated by the exact
-depolarizing-channel identity, which this module can also evaluate by
-full enumeration for small registers.
+Smolin, attaching uniform Pauli signs, and lifting the resulting stabilizer
+tableau (Aaronson and Gottesman) to a dense unitary.  The lift is integer
+Pauli-frame arithmetic: every entry is 0, +-v_r or +-i v_r with
+v_r = 2^-r / sqrt(2^-r) and 2^r the support size of U|0...0>, so an entry
+is a table lookup and carries the bits a floating-point projector lift
+would compute exactly.  The full group at d <= 2 is the sign-free lifts
+times their Pauli sign variants.  The construction is validated by the
+exact depolarizing-channel identity, which this module can also evaluate
+by full enumeration for small registers.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,71 +117,25 @@ class EstimatorBounds:
 # ---------------------------------------------------------------------------
 # symplectic-group sampling over GF(2), interleaved (x1, z1, x2, z2, ...) order.
 # Vectors live in bit-packed integers: bit 2k is the X part on qubit k and
-# bit 2k+1 the Z part, so GF(2) addition is XOR.
+# bit 2k+1 the Z part, so GF(2) addition is XOR.  With s = swap(k) exchanging
+# the two bits of every pair of k, the symplectic form <k, v> is the parity
+# of s & v, so a transvection v -> v + <k, v> k is one bit count.
 
 
-@functools.lru_cache(maxsize=None)
-def _even_mask(nn):
-    m = 0
-    for j in range(0, nn, 2):
-        m |= 1 << j
-    return m
-
-
-def _symp_inner(v, w, nn):
-    even = _even_mask(nn)
-    t = (((v & even) << 1) & w).bit_count()
-    t += (((v >> 1) & even) & w).bit_count()
-    return t & 1
-
-
-def _transvect(k, v, nn):
-    if k == 0:
-        return v
-    return v ^ k if _symp_inner(k, v, nn) else v
-
-
-def _pair(v, i):
-    return (v >> (2 * i)) & 3
-
-
-def _find_transvection(x, y, nn):
-    # pair of transvection directions mapping x to y (either may be zero)
-    if x == y:
+def _find_transvection(y):
+    """Pair of transvection directions mapping e1 = 1 to y (either may be zero)."""
+    if y == 1:
         return 0, 0
-    if _symp_inner(x, y, nn) == 1:
-        return x ^ y, 0
-    n = nn // 2
-    # a position where both vectors have support
-    for i in range(n):
-        px, py = _pair(x, i), _pair(y, i)
-        if px != 0 and py != 0:
-            z = px ^ py
-            if z == 0:
-                z = 2
-                if (px & 1) != ((px >> 1) & 1):
-                    z = 3
-            z <<= 2 * i
-            return x ^ z, y ^ z
-    # otherwise one contribution pairing with x, one pairing with y
-    z = 0
-    for i in range(n):
-        px, py = _pair(x, i), _pair(y, i)
-        if px != 0 and py == 0:
-            if (px & 1) == ((px >> 1) & 1):
-                z |= 2 << (2 * i)
-            else:
-                z |= (((px & 1) << 1) | ((px >> 1) & 1)) << (2 * i)
-            break
-    for i in range(n):
-        px, py = _pair(x, i), _pair(y, i)
-        if px == 0 and py != 0:
-            if (py & 1) == ((py >> 1) & 1):
-                z |= 2 << (2 * i)
-            else:
-                z |= (((py & 1) << 1) | ((py >> 1) & 1)) << (2 * i)
-            break
-    return x ^ z, y ^ z
+    if y & 2:  # <1, y> = 1: one transvection by 1 + y
+        return 1 ^ y, 0
+    if y & 3:  # y has X on qubit 0, like e1: pass through Y there
+        return 2, y ^ 3
+    # e1 and y share no qubit: pass through Z on qubit 0 plus a Pauli that
+    # anticommutes with y on its first nonidentity qubit
+    i = ((y & -y).bit_length() - 1) >> 1
+    p = (y >> (2 * i)) & 3
+    z = 2 | ((2 if p == 3 else 3 - p) << (2 * i))
+    return 1 ^ z, y ^ z
 
 
 def _symplectic_rows_from_levels(levels):
@@ -184,32 +144,24 @@ def _symplectic_rows_from_levels(levels):
     ``levels`` holds one (k, bits) pair per recursion depth, outermost
     first; the level for register size m requires 1 <= k <= 4**m - 1 and
     0 <= bits < 2**(2m - 1).  Uniform coordinates give a uniform group
-    element, and iterating all coordinates enumerates the group.
+    element, and iterating all coordinates enumerates the group.  The
+    levels are applied innermost first: each one prepends the pair (X, Z)
+    of a new first qubit and transvects every row by its four directions.
     """
-    k, bits_int = levels[0]
-    n = len(levels)
-    nn = 2 * n
-    f1 = k
-    t0, t1 = _find_transvection(1, f1, nn)
-    mask = (1 << nn) - 1
-    eprime = 1 | (((bits_int >> 1) << 2) & mask)
-    h0 = _transvect(t0, eprime, nn)
-    h0 = _transvect(t1, h0, nn)
-    if bits_int & 1:
-        f1 = 0
-    if n == 1:
-        rows = [1, 2]
-    else:
-        inner = _symplectic_rows_from_levels(levels[1:])
-        rows = [1, 2] + [r << 2 for r in inner]
-    out = []
-    for row in rows:
-        row = _transvect(t0, row, nn)
-        row = _transvect(t1, row, nn)
-        row = _transvect(h0, row, nn)
-        row = _transvect(f1, row, nn)
-        out.append(row)
-    return out
+    even = (4 ** len(levels) - 1) // 3
+    rows = []
+    for m, (k, bits_int) in enumerate(reversed(levels), start=1):
+        t0, t1 = _find_transvection(k)
+        h0 = 1 | (((bits_int >> 1) << 2) & ((1 << (2 * m)) - 1))
+        for t in (t0, t1):
+            if ((((t & even) << 1) | ((t >> 1) & even)) & h0).bit_count() & 1:
+                h0 ^= t
+        rows = [1, 2] + [r << 2 for r in rows]
+        for t in (t0, t1, h0, 0 if bits_int & 1 else k):
+            if t:
+                s = ((t & even) << 1) | ((t >> 1) & even)
+                rows = [r ^ t if (s & r).bit_count() & 1 else r for r in rows]
+    return rows
 
 
 def _rows_to_matrix(rows, nn):
@@ -217,30 +169,26 @@ def _rows_to_matrix(rows, nn):
     return (np.array(rows, dtype=np.int64)[:, None] >> np.arange(nn)) & 1
 
 
-def _symplectic_from_levels(levels):
-    nn = 2 * len(levels)
-    return _rows_to_matrix(_symplectic_rows_from_levels(levels), nn)
+def _draw_levels(d, rng):
+    return [(int(rng.integers(1, 4**m)), int(rng.integers(0, 1 << (2 * m - 1))))
+            for m in range(d, 0, -1)]
+
+
+def _enumerate_levels(d):
+    return itertools.product(*(
+        [(k, b) for k in range(1, 4**m) for b in range(1 << (2 * m - 1))]
+        for m in range(d, 0, -1)))
 
 
 def sample_symplectic(d, rng):
     """Uniformly random element of Sp(2d, 2), rows are generator images."""
-    levels = []
-    for m in range(d, 0, -1):
-        k = int(rng.integers(1, 4**m))
-        bits = int(rng.integers(0, 1 << (2 * m - 1)))
-        levels.append((k, bits))
-    return _symplectic_from_levels(levels)
+    return _rows_to_matrix(_symplectic_rows_from_levels(_draw_levels(d, rng)), 2 * d)
 
 
 def enumerate_symplectic(d):
     """Iterate every element of Sp(2d, 2); practical for d <= 2."""
-    ranges = []
-    for m in range(d, 0, -1):
-        ranges.append(
-            [(k, b) for k in range(1, 4**m) for b in range(1 << (2 * m - 1))]
-        )
-    for combo in itertools.product(*ranges):
-        yield _symplectic_from_levels(list(combo))
+    for levels in _enumerate_levels(d):
+        yield _rows_to_matrix(_symplectic_rows_from_levels(levels), 2 * d)
 
 
 _VEC_PAULI = {(0, 0): PAULI_I, (1, 0): PAULI_X, (0, 1): PAULI_Z, (1, 1): PAULI_Y}
@@ -253,64 +201,128 @@ def _pauli_from_vec(vec, sign_bit):
     return -out if sign_bit else out
 
 
-#: i^n, the phase of a Pauli with n Y factors (Y = iXZ), up to the largest register
-_I_POWERS = np.array([1j**n for n in range(MAX_JOINT_QUBITS + 1)])
+# ---------------------------------------------------------------------------
+# exact integer lift of a stabilizer tableau to a dense unitary.
+# A Pauli frame (x, z, e) stands for i^e X^x Z^z with qubit q at bit d-1-q,
+# acting as |m> -> i^e (-1)^popcount(z & m) |m ^ x>; the product
+# (x1, z1, e1)(x2, z2, e2) is (x1 ^ x2, z1 ^ z2, e1 + e2 + 2 popcount(z1 & x2)).
+# Every entry of a lifted unitary is 0 or i^p 2^-r / sqrt(2^-r), with 2^r the
+# support size of the stabilizer state U|0>, so a lift is a lookup of an
+# integer entry code in ``_LIFT_VALUES``.
+
+#: entry code of a basis state outside the support of U|0>
+_OFF = 9
+#: _LIFT_VALUES[r, c] = i^c 2^-r / sqrt(2^-r) for c < _OFF, else 0; the
+#: largest on-support code is 3 + 2 + 3
+_LIFT_VALUES = np.array([
+    [(complex(v, 0.0), complex(0.0, v), complex(-v, 0.0), complex(0.0, -v))[c % 4]
+     for c in range(_OFF)] + [0j] * 6
+    for v in (2.0**-r / math.sqrt(2.0**-r) for r in range(MAX_JOINT_QUBITS + 1))
+])
+#: 2 * parity of every index of the largest register
+_PARITY2 = np.array([2 * (v.bit_count() & 1) for v in range(1 << MAX_JOINT_QUBITS)])
 
 
-def clifford_unitaries(symps, signs):
-    """Dense unitaries realizing a stack of stabilizer tableaux.
+@functools.lru_cache(maxsize=None)
+def _row_parts(d):
+    """X and Z parts, qubit q at bit d-1-q, of every packed row."""
+    rows, q = np.arange(4**d)[:, None], np.arange(d)
+    xs = (((rows >> (2 * q)) & 1) << (d - 1 - q)).sum(axis=1)
+    zs = (((rows >> (2 * q + 1)) & 1) << (d - 1 - q)).sum(axis=1)
+    return xs.tolist(), zs.tolist()
 
-    ``symps`` has shape (n, 2d, 2d) and ``signs`` shape (n, 2d).  Row 2k of
-    a tableau is the image of X_k, row 2k+1 the image of Z_k, with sign bits
-    from ``signs``.  Each image P acts as a signed permutation of the basis,
-    P|m> = phase * (-1)^popcount(zm & m) |m ^ xm> with qubit q at index bit
-    d-1-q.  The image of |0...0> is the first nonzero column of the
-    stabilizer projector, the product of (I + g)/2 over the Z images,
-    normalized; the remaining columns follow by doubling over the X images.
-    Returns shape (n, 2^d, 2^d); global phase is arbitrary.
+
+def _frame(rows, signs, d):
+    """Integer data of the Clifford lifted from one tableau.
+
+    Row 2k of a tableau is the image of X_k, row 2k+1 the image of Z_k,
+    with sign bits from ``signs``.  Returns (xc, zc, ec, psi, r): column c of
+    the unitary is the frame (xc[c], zc[c], ec[c]), the product of the X
+    images of the qubits set in c, applied to the stabilizer state U|0> of
+    the Z images; that state has support size 2^r and is i^psi[m] 2^-r /
+    sqrt(2^-r) at index m, with psi[m] = _OFF off the support.  Its global
+    phase makes the entry at the smallest index of the support real and
+    positive.
     """
-    symps = np.asarray(symps)
-    signs = np.asarray(signs)
-    n, nn = symps.shape[:2]
-    d = nn // 2
-    dim = 1 << d
-    batch = np.arange(n)
-    rows = batch[:, None]
-    idx = np.arange(dim)
-    place = 1 << np.arange(d - 1, -1, -1)
-    xm = symps[:, :, 0::2] @ place
-    zm = symps[:, :, 1::2] @ place
-    phase = _I_POWERS[np.bitwise_count(xm & zm)]
-    phase = np.where(signs == 1, -phase, phase)[:, :, None, None]
-    flips = (1.0 - 2.0 * (np.bitwise_count(idx & zm[:, :, None]) & 1))[:, :, :, None]
-    perm = idx ^ xm[:, :, None]
+    xs, zs = _row_parts(d)
+    images = []
+    for row, s in zip(rows, signs):
+        x, z = xs[row], zs[row]
+        images.append((x, z, (x & z).bit_count() + 2 * s))
+    # eliminate the Z images on their X parts: pivots with distinct leading
+    # bits, highest first, and diagonal stabilizers (-1)^rhs Z^z kept fully
+    # reduced on their leading bits
+    pivots, diag = [], []
+    for x, z, e in images[1::2]:
+        for lead, px, pz, pe in pivots:
+            if x & lead:
+                e += pe + 2 * (z & px).bit_count()
+                x ^= px
+                z ^= pz
+        if x:
+            pivots.append((1 << (x.bit_length() - 1), x, z, e))
+            pivots.sort(reverse=True)
+            continue
+        rhs = (e >> 1) & 1
+        for lead, dz, dr in diag:
+            if z & lead:
+                z ^= dz
+                rhs ^= dr
+        if not z:
+            raise ValueError("tableau does not define a stabilizer state")
+        lead = 1 << (z.bit_length() - 1)
+        diag = [(ld, dz ^ z, dr ^ rhs) if dz & lead else (ld, dz, dr)
+                for ld, dz, dr in diag] + [(lead, z, rhs)]
+    # the support is {m : popcount(m & z) = rhs for each diagonal stabilizer};
+    # reducing one solution on the pivots' leading bits gives its least index
+    first = 0
+    for lead, _, dr in diag:
+        if dr:
+            first |= lead
+    for lead, px, _, _ in pivots:
+        if first & lead:
+            first ^= px
+    # <first ^ x| psi> is the phase of the stabilizer (x, z, e) on |first>
+    group = [(0, 0, 0)]
+    for _, px, pz, pe in pivots:
+        group += [(x ^ px, z ^ pz, e + pe + 2 * (z & px).bit_count()) for x, z, e in group]
+    psi = [_OFF] * (1 << d)
+    for x, z, e in group:
+        psi[first ^ x] = (e + 2 * (first & z).bit_count()) & 3
+    # columns by doubling: setting bit d-1-k applies the X image of qubit k
+    xc, zc, ec = [0], [0], [0]
+    for x, z, e in images[0::2]:
+        nx, nz, ne = [], [], []
+        for cx, cz, ce in zip(xc, zc, ec):
+            nx += (cx, x ^ cx)
+            nz += (cz, z ^ cz)
+            ne += (ce, e + ce + 2 * (z & cx).bit_count())
+        xc, zc, ec = nx, nz, ne
+    return xc, zc, ec, psi, len(pivots)
 
-    def apply(g, vecs):
-        # image of generator row g on the stacked column vectors
-        return phase[:, g] * (flips[:, g] * vecs)[rows, perm[:, g]]
 
-    proj = np.eye(dim, dtype=complex)
-    for k in range(d):
-        proj = (proj + apply(2 * k + 1, proj)) * 0.5
-    norms = np.sqrt((proj.real**2 + proj.imag**2).sum(axis=1))
-    nonzero = norms > 1e-6
-    if not nonzero.any(axis=1).all():
-        raise ValueError("tableau does not define a stabilizer state")
-    first = nonzero.argmax(axis=1)
-    out = np.empty((n, dim, dim), dtype=complex)
-    out[:, :, 0] = proj[batch, :, first] / norms[batch, first][:, None]
-    for k in range(d):
-        # columns indexed by the top k bits alone are filled; X_k sets bit d-1-k
-        split = out.reshape(n, dim, 1 << k, 2, dim >> (k + 1))
-        split[:, :, :, 1, 0] = apply(2 * k, split[:, :, :, 0, 0])
-    return out
+def _lift_codes(xc, zc, ec, psi):
+    """Entry codes of a stack of lifts from their frames, each of shape (n, dim).
+
+    Entry [x, c] is <x| (xc, zc, ec)[c] |psi>: the phase of the column's
+    frame on the basis state x ^ xc[c] plus psi there.
+    """
+    idx = np.arange(xc.shape[1])
+    y = idx[:, None] ^ xc[:, None, :]
+    batch = np.arange(len(xc))[:, None, None]
+    return (ec & 3)[:, None, :] + _PARITY2[y & zc[:, None, :]] + psi[batch, y]
+
+
+def _lift(rows, signs, d):
+    """Dense unitary of one tableau, packed rows and sign bits as in ``_frame``."""
+    xc, zc, ec, psi, r = _frame(rows, signs, d)
+    return _LIFT_VALUES[r][_lift_codes(*np.array([[xc], [zc], [ec], [psi]]))[0]]
 
 
 def sample_clifford_unitary(d, rng):
     """Uniformly random d-qubit Clifford unitary (up to global phase)."""
-    symp = sample_symplectic(d, rng)
-    signs = rng.integers(0, 2, size=2 * d)
-    return clifford_unitaries(symp[None], signs[None])[0]
+    rows = _symplectic_rows_from_levels(_draw_levels(d, rng))
+    return _lift(rows, rng.integers(0, 2, size=2 * d).tolist(), d)
 
 
 MAX_ENUM_JOINT = 2
@@ -321,16 +333,38 @@ _CLIFFORD_GROUPS = {}
 def clifford_group(d):
     """All d-qubit Clifford unitaries mod phase (cached, fixed order).
 
-    |Sp(2d, 2)| * 4**d matrices: 24 at d=1, 11520 at d=2.  Higher d is
-    refused because the group size grows too fast to materialize.
+    |Sp(2d, 2)| * 4**d matrices: 24 at d=1, 11520 at d=2, in the order of
+    ``enumerate_symplectic`` times the sign vectors of
+    ``itertools.product((0, 1), repeat=2d)``.  Each symplectic element is
+    lifted once without signs, as U_0; its sign variant is U_0 X^a Z^b up
+    to a phase, with a the flips of the Z images and b those of the X
+    images, so a variant permutes and re-phases the columns of U_0's
+    frame.  Higher d is refused because the group size grows too fast to
+    materialize.
     """
     if not 1 <= d <= MAX_ENUM_JOINT:
         raise ValueError(f"clifford_group supports 1 <= d <= {MAX_ENUM_JOINT}")
     if d not in _CLIFFORD_GROUPS:
-        symps = np.array(list(enumerate_symplectic(d)))
+        zeros = [0] * (2 * d)
+        frames = [_frame(_symplectic_rows_from_levels(levels), zeros, d)
+                  for levels in _enumerate_levels(d)]
+        xc, zc, ec, psi, r = (np.array(part) for part in zip(*frames))
+        codes = _lift_codes(xc, zc, ec, psi)
+        # a variant with Z flips a starts with U_0's column a; rephase turns the
+        # entry at that column's first support row onto the positive reals
+        first = (codes < _OFF).argmax(axis=1)
+        rephase = -np.take_along_axis(codes, first[:, None, :], axis=1)[:, 0, :]
         signs = np.array(list(itertools.product((0, 1), repeat=2 * d)))
-        group = clifford_unitaries(np.repeat(symps, len(signs), axis=0),
-                                   np.tile(signs, (len(symps), 1)))
+        place = 1 << np.arange(d - 1, -1, -1)
+        flips_z, flips_x = signs[:, 1::2] @ place, signs[:, 0::2] @ place
+        idx = np.arange(1 << d)
+        cols = idx ^ flips_z[:, None]
+        # variant columns c read U_0's column c ^ a, with sign (-1)^popcount(c & b)
+        ec = ec[:, cols] + _PARITY2[idx & flips_x[:, None]] + rephase[:, flips_z][:, :, None]
+        n_var = len(signs)
+        codes = _lift_codes(xc[:, cols].reshape(-1, 1 << d), zc[:, cols].reshape(-1, 1 << d),
+                            ec.reshape(-1, 1 << d), np.repeat(psi, n_var, axis=0))
+        group = _LIFT_VALUES[np.repeat(r, n_var)[:, None, None], codes]
         group.flags.writeable = False
         _CLIFFORD_GROUPS[d] = group
     return _CLIFFORD_GROUPS[d]

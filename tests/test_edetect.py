@@ -171,8 +171,8 @@ def test_config_validation():
         ed.DetectorConfig(weights=(1.0,), alpha=0.1, kind="other")
     cfg = ed.DetectorConfig(weights=(1.0,), alpha=0.25)
     assert cfg.threshold == pytest.approx(4.0)
-    cfg = ed.DetectorConfig(weights=(1.0,), alpha=0.25, kind=ed.CUSUM, cusum_threshold=7.0)
-    assert cfg.threshold == pytest.approx(7.0)
+    cfg = ed.DetectorConfig(weights=(1.0,), alpha=0.25, kind=ed.CUSUM)
+    assert cfg.threshold == pytest.approx(4.0)
 
 
 def test_neutral_bets_stop_sr_at_two():

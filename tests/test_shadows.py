@@ -95,7 +95,187 @@ def test_symplectic_matrices_match_bit_loop():
 
 
 # ---------------------------------------------------------------------------
+# reference implementations: the recursive transvection sampler and the
+# floating-point projector lift, kept as plain oracles for the integer code
+
+
+def ref_symp_inner(v, w, nn):
+    even = sum(1 << j for j in range(0, nn, 2))
+    t = (((v & even) << 1) & w).bit_count()
+    t += (((v >> 1) & even) & w).bit_count()
+    return t & 1
+
+
+def ref_transvect(k, v, nn):
+    if k == 0:
+        return v
+    return v ^ k if ref_symp_inner(k, v, nn) else v
+
+
+def ref_find_transvection(x, y, nn):
+    # pair of transvection directions mapping x to y (either may be zero)
+    def pair(v, i):
+        return (v >> (2 * i)) & 3
+
+    if x == y:
+        return 0, 0
+    if ref_symp_inner(x, y, nn) == 1:
+        return x ^ y, 0
+    n = nn // 2
+    for i in range(n):
+        px, py = pair(x, i), pair(y, i)
+        if px != 0 and py != 0:
+            z = px ^ py
+            if z == 0:
+                z = 2
+                if (px & 1) != ((px >> 1) & 1):
+                    z = 3
+            z <<= 2 * i
+            return x ^ z, y ^ z
+    z = 0
+    for i in range(n):
+        px, py = pair(x, i), pair(y, i)
+        if px != 0 and py == 0:
+            if (px & 1) == ((px >> 1) & 1):
+                z |= 2 << (2 * i)
+            else:
+                z |= (((px & 1) << 1) | ((px >> 1) & 1)) << (2 * i)
+            break
+    for i in range(n):
+        px, py = pair(x, i), pair(y, i)
+        if px == 0 and py != 0:
+            if (py & 1) == ((py >> 1) & 1):
+                z |= 2 << (2 * i)
+            else:
+                z |= (((py & 1) << 1) | ((py >> 1) & 1)) << (2 * i)
+            break
+    return x ^ z, y ^ z
+
+
+def ref_symplectic_rows_from_levels(levels):
+    k, bits_int = levels[0]
+    n = len(levels)
+    nn = 2 * n
+    f1 = k
+    t0, t1 = ref_find_transvection(1, f1, nn)
+    mask = (1 << nn) - 1
+    eprime = 1 | (((bits_int >> 1) << 2) & mask)
+    h0 = ref_transvect(t0, eprime, nn)
+    h0 = ref_transvect(t1, h0, nn)
+    if bits_int & 1:
+        f1 = 0
+    if n == 1:
+        rows = [1, 2]
+    else:
+        inner = ref_symplectic_rows_from_levels(levels[1:])
+        rows = [1, 2] + [r << 2 for r in inner]
+    out = []
+    for row in rows:
+        row = ref_transvect(t0, row, nn)
+        row = ref_transvect(t1, row, nn)
+        row = ref_transvect(h0, row, nn)
+        row = ref_transvect(f1, row, nn)
+        out.append(row)
+    return out
+
+
+def ref_clifford_unitaries(symps, signs):
+    """Dense unitaries of a stack of tableaux through the stabilizer projector.
+
+    The image of |0...0> is the first nonzero column of the product of
+    (I + g)/2 over the Z images, normalized; the remaining columns follow
+    by doubling over the X images.
+    """
+    symps = np.asarray(symps)
+    signs = np.asarray(signs)
+    n, nn = symps.shape[:2]
+    d = nn // 2
+    dim = 1 << d
+    batch = np.arange(n)
+    rows = batch[:, None]
+    idx = np.arange(dim)
+    place = 1 << np.arange(d - 1, -1, -1)
+    xm = symps[:, :, 0::2] @ place
+    zm = symps[:, :, 1::2] @ place
+    phase = np.array([1j**k for k in range(d + 1)])[np.bitwise_count(xm & zm)]
+    phase = np.where(signs == 1, -phase, phase)[:, :, None, None]
+    flips = (1.0 - 2.0 * (np.bitwise_count(idx & zm[:, :, None]) & 1))[:, :, :, None]
+    perm = idx ^ xm[:, :, None]
+
+    def apply(g, vecs):
+        return phase[:, g] * (flips[:, g] * vecs)[rows, perm[:, g]]
+
+    proj = np.eye(dim, dtype=complex)
+    for k in range(d):
+        proj = (proj + apply(2 * k + 1, proj)) * 0.5
+    norms = np.sqrt((proj.real**2 + proj.imag**2).sum(axis=1))
+    nonzero = norms > 1e-6
+    assert nonzero.any(axis=1).all()
+    first = nonzero.argmax(axis=1)
+    out = np.empty((n, dim, dim), dtype=complex)
+    out[:, :, 0] = proj[batch, :, first] / norms[batch, first][:, None]
+    for k in range(d):
+        split = out.reshape(n, dim, 1 << k, 2, dim >> (k + 1))
+        split[:, :, :, 1, 0] = apply(2 * k, split[:, :, :, 0, 0])
+    return out
+
+
+#: seeded tableaux per register size in the oracle comparisons
+ORACLE_DRAWS = {1: 2000, 2: 2000, 3: 2000, 4: 2000, 5: 300, 6: 300}
+
+
+def test_symplectic_rows_match_recursive_reference():
+    for d, n in ORACLE_DRAWS.items():
+        rng = np.random.default_rng(100 + d)
+        for _ in range(n):
+            levels = [(int(rng.integers(1, 4**m)), int(rng.integers(0, 1 << (2 * m - 1))))
+                      for m in range(d, 0, -1)]
+            assert sh._symplectic_rows_from_levels(levels) == \
+                ref_symplectic_rows_from_levels(levels)
+    for d in (1, 2):
+        ranges = [[(k, b) for k in range(1, 4**m) for b in range(1 << (2 * m - 1))]
+                  for m in range(d, 0, -1)]
+        for combo in itertools.product(*ranges):
+            assert sh._symplectic_rows_from_levels(list(combo)) == \
+                ref_symplectic_rows_from_levels(list(combo))
+
+
+def test_sampled_unitaries_match_float_reference():
+    # same unitaries and the same number of draws as the recursive sampler
+    # followed by the float projector lift
+    for d, n in ORACLE_DRAWS.items():
+        draw, replay = np.random.default_rng(200 + d), np.random.default_rng(200 + d)
+        got = np.array([sh.sample_clifford_unitary(d, draw) for _ in range(n)])
+        symps, signs = [], []
+        for _ in range(n):
+            levels = [(int(replay.integers(1, 4**m)), int(replay.integers(0, 1 << (2 * m - 1))))
+                      for m in range(d, 0, -1)]
+            symps.append(bit_loop_matrix(ref_symplectic_rows_from_levels(levels), 2 * d))
+            signs.append(replay.integers(0, 2, size=2 * d))
+        want = ref_clifford_unitaries(np.array(symps), np.array(signs))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert draw.random() == replay.random()
+
+
+def test_clifford_group_matches_float_reference():
+    for d in (1, 2):
+        symps = np.array(list(sh.enumerate_symplectic(d)))
+        signs = np.array(list(itertools.product((0, 1), repeat=2 * d)))
+        want = ref_clifford_unitaries(np.repeat(symps, len(signs), axis=0),
+                                      np.tile(signs, (len(symps), 1)))
+        group = sh.clifford_group(d)
+        assert group.dtype == want.dtype and np.array_equal(group, want)
+
+
+# ---------------------------------------------------------------------------
 # tableau lift
+
+
+def lift(symp, signs):
+    # one tableau given as a bit matrix, through the packed-row lift
+    symp = np.asarray(symp, dtype=np.int64)
+    rows = (symp << np.arange(symp.shape[1])).sum(axis=1).tolist()
+    return sh._lift(rows, np.asarray(signs).tolist(), len(rows) // 2)
 
 
 def test_clifford_group_sizes_and_unitarity():
@@ -127,28 +307,27 @@ def test_clifford_group_rejects_large_d():
 
 
 def test_clifford_group_matches_one_tableau_lift():
-    # the group is lifted as one stack; each element must equal the lift of
-    # its own tableau, in enumerate_symplectic x sign order
+    # the group is lifted from sign-free frames and their sign variants;
+    # each element must equal the lift of its own tableau, in
+    # enumerate_symplectic x sign order
     for d in (1, 2):
         group = sh.clifford_group(d)
         tableaux = [(symp, np.array(signs)) for symp in sh.enumerate_symplectic(d)
                     for signs in itertools.product((0, 1), repeat=2 * d)]
         assert len(group) == len(tableaux)
         for u, (symp, signs) in zip(group, tableaux):
-            assert np.array_equal(u, sh.clifford_unitaries(symp[None], signs[None])[0])
+            assert np.array_equal(u, lift(symp, signs))
 
 
 def test_lifted_unitaries_permute_paulis():
     # a Clifford must map each Pauli to a signed Pauli; check U P U^dag for
-    # sampled tableaus against the tableau's own row prescription, lifting
-    # them as one stack and one at a time
+    # sampled tableaus against the tableau's own row prescription
     rng = np.random.default_rng(9)
     for d in range(1, 7):
-        symps = np.array([sh.sample_symplectic(d, rng) for _ in range(3)])
-        signs = rng.integers(0, 2, size=(3, 2 * d))
-        stack = sh.clifford_unitaries(symps, signs)
-        for symp, sign, u in zip(symps, signs, stack):
-            assert np.array_equal(u, sh.clifford_unitaries(symp[None], sign[None])[0])
+        for _ in range(3):
+            symp = sh.sample_symplectic(d, rng)
+            sign = rng.integers(0, 2, size=2 * d)
+            u = lift(symp, sign)
             for k in range(d):
                 for row, letter in ((2 * k, "X"), (2 * k + 1, "Z")):
                     letters = ["I"] * d
@@ -157,6 +336,16 @@ def test_lifted_unitaries_permute_paulis():
                     image = u @ src @ u.conj().T
                     want = sh._pauli_from_vec(symp[row], sign[row])
                     assert np.allclose(image, want, atol=1e-9)
+
+
+def test_lift_rejects_tableau_without_stabilizer_state():
+    # both Z images equal Z_0, so they fix no single state
+    symp = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]])
+    with pytest.raises(ValueError, match="stabilizer state"):
+        lift(symp, [0, 0, 0, 0])
+    # Z_0 and -Z_0 would fix nothing at all
+    with pytest.raises(ValueError, match="stabilizer state"):
+        lift(symp, [0, 0, 0, 1])
 
 
 def test_sample_clifford_unitary_is_unitary():
