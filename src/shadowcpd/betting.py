@@ -108,9 +108,7 @@ def chebyshev_grid(interval: LambdaInterval, k: int = UP_GRID_SIZE) -> np.ndarra
 class ConstantBettor:
     """Fixed bet, mostly a reference policy for tests and oracles."""
 
-    def __init__(self, lam: float, interval: LambdaInterval | None = None):
-        if interval is not None and not interval.contains(lam):
-            raise ValueError(f"bet {lam!r} outside [{interval.lo!r}, {interval.hi!r}]")
+    def __init__(self, lam: float):
         self.lam = float(lam)
 
     def step(self, o_prev=None) -> float:

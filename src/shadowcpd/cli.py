@@ -1,7 +1,8 @@
 """Command-line front end: run experiments, sweep parameters, print presets,
 validate the measurement-channel oracles, and report growth rates.
 
-Exit codes: 0 on success, 1 when validation fails, 2 on bad input.
+Exit codes: 0 on success, 1 when validation fails, 2 on bad input (an
+invalid scenario or flag, an unreadable scenario, an unwritable --out).
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ def _load_scenario(path):
         raise SystemExit2(str(exc))
 
 
+def _write_out(path, text):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {path}: {exc}")
+
+
 def _require_counts(args, *names):
     for name in names:
         value = getattr(args, name)
@@ -51,8 +60,11 @@ def _cmd_run(args):
     wall = time.perf_counter() - t0
     stats = harness.summarize(results, scenario)
     if args.out:
-        harness.emit_results(scenario, results, stats, args.format, args.out,
-                             master_seed=args.seed, wall_time_seconds=wall)
+        try:
+            harness.emit_results(scenario, results, stats, args.format, args.out,
+                                 master_seed=args.seed, wall_time_seconds=wall)
+        except OSError as exc:
+            raise SystemExit2(str(exc))
         print(f"wrote {len(results)} trials to {args.out}")
     else:
         if args.format == "csv":
@@ -116,8 +128,7 @@ def _cmd_sweep(args):
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
         print(f"wrote {len(values)} sweep rows to {args.out}")
     else:
         sys.stdout.write(text)
@@ -137,8 +148,7 @@ def _cmd_preset(args):
         raise SystemExit2(str(exc.args[0]))
     text = json.dumps(scenario.to_dict(), indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
         print(f"wrote preset {args.name} to {args.out}")
     else:
         sys.stdout.write(text)

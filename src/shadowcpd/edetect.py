@@ -64,23 +64,6 @@ def uniform_weights(n: int) -> tuple:
     return (1.0 / n,) * n
 
 
-def baseline_increment(lam: float, o_hat: float, lam_bounds=None) -> float:
-    """Capital multiplier 1 + lam * o_hat for one betting round.
-
-    ``lam_bounds``, when given as (lo, hi), is the admissible interval
-    that keeps the multiplier positive for every estimate the bounds
-    allow; a bet outside it is rejected.
-    """
-    if lam_bounds is not None:
-        lo, hi = lam_bounds
-        if not lo <= lam <= hi:
-            raise ValueError(f"bet {lam!r} outside admissible interval [{lo!r}, {hi!r}]")
-    incr = 1.0 + lam * o_hat
-    if not incr > 0.0:
-        raise ValueError(f"nonpositive capital multiplier {incr!r} from lam={lam!r}, o_hat={o_hat!r}")
-    return incr
-
-
 class SequentialDetector:
     """Mixture e-detector over a stream of per-observable multipliers.
 

@@ -100,6 +100,15 @@ def _require(cond, path, msg):
         _fail(path, msg)
 
 
+# JSON true/false load as bool, a subclass of int: neither counts as a number
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one detection experiment."""
@@ -120,18 +129,19 @@ class Scenario:
     ucb_delta: float = UCB_DEFAULT_DELTA
 
     def __post_init__(self):
-        _require(isinstance(self.d, int) and self.d >= 1, "scenario.d", "must be an integer >= 1")
+        _require(_is_int(self.d) and self.d >= 1, "scenario.d", "must be an integer >= 1")
         _require(self.ensemble in ENSEMBLES, "scenario.ensemble", f"must be one of {ENSEMBLES}")
         if self.ensemble == "local":
             _require(self.d <= MAX_LOCAL_QUBITS, "scenario.d", f"local ensemble supports d <= {MAX_LOCAL_QUBITS}")
         else:
             _require(self.d <= MAX_JOINT_QUBITS, "scenario.d", f"joint ensemble supports d <= {MAX_JOINT_QUBITS}")
         self._validate_observables()
-        _require(-1.0 <= self.theta0 <= 0.0, "scenario.theta0",
-                 "pre-change mixing angle must lie in [-1, 0]")
-        _require(-1.0 <= self.theta1 <= 1.0, "scenario.theta1", "mixing angle must lie in [-1, 1]")
+        _require(_is_real(self.theta0) and -1.0 <= self.theta0 <= 0.0, "scenario.theta0",
+                 "pre-change mixing angle must be a real in [-1, 0]")
+        _require(_is_real(self.theta1) and -1.0 <= self.theta1 <= 1.0, "scenario.theta1",
+                 "mixing angle must be a real in [-1, 1]")
         if self.nu is not None:
-            _require(isinstance(self.nu, int) and self.nu >= 1, "scenario.nu",
+            _require(_is_int(self.nu) and self.nu >= 1, "scenario.nu",
                      "changepoint must be an integer >= 1 or null for never")
             _require(self.theta1 > 0.0, "scenario.theta1",
                      "post-change mixing angle must be > 0 when the changepoint is finite")
@@ -143,7 +153,7 @@ class Scenario:
         self._validate_betting()
         if self.run_cap is None:
             object.__setattr__(self, "run_cap", 20 * math.ceil(1.0 / self.alpha))
-        _require(isinstance(self.run_cap, int) and self.run_cap >= math.ceil(1.0 / self.alpha),
+        _require(_is_int(self.run_cap) and self.run_cap >= math.ceil(1.0 / self.alpha),
                  "scenario.run_cap", "must be an integer >= ceil(1/alpha)")
         _require(self.bounds_mode in BOUNDS_MODES, "scenario.bounds_mode",
                  f"must be one of {BOUNDS_MODES}")
@@ -156,7 +166,7 @@ class Scenario:
                  'must be {"rotated": n} or {"matrices": [...]}')
         key = next(iter(obs))
         if key == "rotated":
-            _require(isinstance(obs["rotated"], int) and obs["rotated"] >= 1,
+            _require(_is_int(obs["rotated"]) and obs["rotated"] >= 1,
                      "scenario.observables.rotated", "must be an integer >= 1")
         elif key == "matrices":
             mats = obs["matrices"]
@@ -175,7 +185,7 @@ class Scenario:
                  'must be "uniform" or a list of positive reals')
         _require(len(w) == self.n_observables, "scenario.weights",
                  f"length {len(w)} does not match {self.n_observables} observables")
-        _require(all(isinstance(x, (int, float)) and x > 0 for x in w), "scenario.weights",
+        _require(all(_is_real(x) and x > 0 for x in w), "scenario.weights",
                  "entries must be positive reals")
         _require(abs(sum(float(x) for x in w) - 1.0) <= 1e-12, "scenario.weights",
                  "entries must sum to 1")
@@ -193,11 +203,11 @@ class Scenario:
                 _require(k in ("grid", "slack", "two_sided"), f"scenario.betting.cbce.{k}",
                          "unknown field")
             grid = cfg.get("grid", UP_GRID_SIZE)
-            _require(isinstance(grid, int) and grid >= 2, "scenario.betting.cbce.grid",
+            _require(_is_int(grid) and grid >= 2, "scenario.betting.cbce.grid",
                      "must be an integer >= 2")
             slack = cfg.get("slack")
             if slack is not None:
-                _require(isinstance(slack, (int, float)) and slack >= 0.0,
+                _require(_is_real(slack) and slack >= 0.0,
                          "scenario.betting.cbce.slack", "must be a nonnegative real or null")
             _require(isinstance(cfg.get("two_sided", False), bool),
                      "scenario.betting.cbce.two_sided", "must be a boolean")
@@ -207,7 +217,7 @@ class Scenario:
                 "two_sided": cfg.get("two_sided", False),
             }}
         elif key == "constant":
-            _require(isinstance(b["constant"], (int, float)), "scenario.betting.constant",
+            _require(_is_real(b["constant"]), "scenario.betting.constant",
                      "must be a real bet")
             canonical = {"constant": float(b["constant"])}
         else:
@@ -259,7 +269,7 @@ class Scenario:
             for k in cfg:
                 _require(k == "delta", f"scenario.policy.emcd_ucb.{k}", "unknown field")
             if "delta" in cfg:
-                _require(isinstance(cfg["delta"], (int, float)), "scenario.policy.emcd_ucb.delta",
+                _require(_is_real(cfg["delta"]), "scenario.policy.emcd_ucb.delta",
                          "must be a real")
                 ucb_delta = float(cfg["delta"])
             policy = "emcd_ucb"
@@ -268,10 +278,10 @@ class Scenario:
             "d": data["d"],
             "ensemble": data["ensemble"],
             "observables": _copy_jsonish(data["observables"]),
-            "theta0": float(data["theta0"]) if isinstance(data["theta0"], (int, float)) else data["theta0"],
-            "theta1": float(data["theta1"]) if isinstance(data["theta1"], (int, float)) else data["theta1"],
+            "theta0": float(data["theta0"]) if _is_real(data["theta0"]) else data["theta0"],
+            "theta1": float(data["theta1"]) if _is_real(data["theta1"]) else data["theta1"],
             "nu": nu,
-            "alpha": float(data["alpha"]) if isinstance(data["alpha"], (int, float)) else data["alpha"],
+            "alpha": float(data["alpha"]) if _is_real(data["alpha"]) else data["alpha"],
             "policy": policy,
             "ucb_delta": ucb_delta,
         }
@@ -305,10 +315,10 @@ def _parse_matrix(entry, d, path):
         _require(isinstance(row, (list, tuple)) and len(row) == dim, f"{path}[{r}]",
                  f"must be a row of {dim} entries")
         for c, cell in enumerate(row):
-            if isinstance(cell, (int, float)):
+            if _is_real(cell):
                 out[r, c] = float(cell)
             elif isinstance(cell, (list, tuple)) and len(cell) == 2 \
-                    and all(isinstance(x, (int, float)) for x in cell):
+                    and all(_is_real(x) for x in cell):
                 out[r, c] = complex(float(cell[0]), float(cell[1]))
             else:
                 _fail(f"{path}[{r}][{c}]", "must be a real or an [re, im] pair")

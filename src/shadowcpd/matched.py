@@ -32,14 +32,13 @@ class ProjectiveMeasurement:
 
     def __init__(self, obs):
         self.observable = obs
-        self.eigensystem = hermitian_eig(obs.mat)
-        evals = self.eigensystem.eigenvalues
+        evals, evecs = hermitian_eig(obs.mat)
         scale = max(1.0, float(np.abs(evals).max()))
         starts = np.flatnonzero(np.diff(evals) > EIGEN_GAP * scale) + 1
         self.outcome_values = np.array([block.mean() for block in np.split(evals, starts)])
         # outcome index of each eigenvector column
         self._outcome_of = np.searchsorted(starts, np.arange(evals.size), side="right")
-        self._bras = self.eigensystem.eigenvectors.conj().T
+        self._bras = evecs.conj().T
 
     def born_weights(self, rho) -> np.ndarray:
         """Tr(Pi_lambda rho) for each distinct eigenvalue lambda, ascending."""

@@ -13,8 +13,6 @@ complex matrices.  Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -142,14 +140,6 @@ class Observable:
         return f"Observable(d={self.n_qubits}, support={sorted(self.support)})"
 
 
-@dataclass
-class EigenSystem:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def make_theta_state(d, theta):
     """Build the d-qubit state (I + theta * X^{tensor d}) / 2**d.
 
@@ -206,15 +196,15 @@ def expectation(rho, obs):
 def hermitian_eig(obs):
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Returns an EigenSystem with eigenvalues ascending.  Inside a degenerate
+    Returns (eigenvalues, eigenvectors): the eigenvalues ascending, the
+    matching orthonormal eigenvectors as columns.  Inside a degenerate
     eigenspace the eigenvector basis is whatever LAPACK returns; callers
     that need basis-free quantities use eigenspace projectors.
     """
     mat = _as_matrix(obs)
     _check_square_qubit_dim(mat, "matrix")
     _check_hermitian(mat, "matrix")
-    evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    return EigenSystem(eigenvalues=evals, eigenvectors=evecs)
+    return np.linalg.eigh((mat + mat.conj().T) / 2.0)
 
 
 def born_probabilities(rho, unitary):

@@ -7,11 +7,19 @@ Two measurement ensembles are supported:
 * ``joint``: the whole register is rotated by a uniformly random d-qubit
   Clifford unitary before a computational-basis measurement.
 
-A measurement (U, x) yields the snapshot matrix obtained by applying the
-inverse of the measurement channel to U^dag |x><x| U.  For the local
-ensemble the inverse factorizes into 3 U_k^dag |x_k><x_k| U_k - I per
-qubit; for the joint ensemble it is (2^d + 1) U^dag |x><x| U - I.  Traces
-of observables against the snapshot give unbiased single-shot estimates.
+An outcome (U, x) enters an estimate only through the measured state
+U^dag |x>.  For the joint ensemble that is one ket psi, row x of conj(U);
+for the local ensemble it is one Pauli eigenstate per qubit, named by the
+code 2b + x of its basis b and outcome bit x.  One batched kernel,
+``_estimates``, maps a stack of measured states to the single-shot
+estimate Tr(O rho_hat) of every observable, where the snapshot rho_hat is
+the inverse measurement channel applied to |psi><psi|:
+(2^d + 1)|psi><psi| - I for the joint ensemble and the Kronecker product
+of 3|psi_k><psi_k| - I over qubits for the local one.  Under the local
+ensemble a product observable skips the snapshot: its estimate is the
+product over qubits of the factors Tr(O_k (3|psi_k><psi_k| - I)).  Exact
+enumeration passes every atom of the ensemble to the kernel; a direct
+sampling step passes the one atom it drew.
 
 Joint Clifford elements are drawn by sampling the symplectic group
 Sp(2d, 2) through the canonical transvection construction of Koenig and
@@ -36,9 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    DensityMatrix,
     HADAMARD,
-    Observable,
+    MAX_QUBITS,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -54,51 +61,15 @@ from .qcore import (
 BASIS_LETTERS = "ZXY"
 #: gate rotating each basis onto the computational one
 BASIS_GATES = (PAULI_I.copy(), HADAMARD.copy(), HADAMARD @ PHASE_S.conj().T)
+#: per-qubit snapshot 3|psi><psi| - I of the Pauli eigenstate with code 2b + x,
+#: psi = U_b^dag |x>, the row x of conj(U_b)
+_LOCAL_SNAPSHOTS = np.array([3.0 * np.outer(ket, ket.conj()) - PAULI_I
+                             for gate in BASIS_GATES for ket in gate.conj()])
 
-MAX_LOCAL_QUBITS = 10
+MAX_LOCAL_QUBITS = MAX_QUBITS
 MAX_JOINT_QUBITS = 6
 #: largest register for which settings x outcomes enumeration is practical
 MAX_ENUM_LOCAL = 3
-
-
-@dataclass
-class MeasurementSetting:
-    """One sampled measurement configuration."""
-
-    kind: str
-    local_bases: np.ndarray | None = None
-    joint_unitary: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("local", "joint"):
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.kind == "local":
-            if self.local_bases is None or self.joint_unitary is not None:
-                raise ValueError("local setting must carry basis labels only")
-            self.local_bases = np.asarray(self.local_bases, dtype=np.int64)
-            if self.local_bases.ndim != 1 or not np.all((0 <= self.local_bases) & (self.local_bases < 3)):
-                raise ValueError("basis labels must be a vector over {0, 1, 2}")
-        else:
-            if self.joint_unitary is None or self.local_bases is not None:
-                raise ValueError("joint setting must carry a unitary only")
-
-    @property
-    def d(self):
-        if self.kind == "local":
-            return int(self.local_bases.size)
-        return int(self.joint_unitary.shape[0]).bit_length() - 1
-
-
-@dataclass
-class ShadowEstimate:
-    """Snapshot matrix produced by the inverse measurement channel."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        tr = complex(np.trace(self.mat))
-        if abs(tr - 1.0) > 1e-8:
-            raise ValueError(f"snapshot trace {tr:.9g} differs from 1")
 
 
 @dataclass(frozen=True)
@@ -371,93 +342,94 @@ def clifford_group(d):
 
 
 # ---------------------------------------------------------------------------
-# settings, snapshots and estimates
+# settings and the measured-state estimate kernel
 
 
 def sample_setting(kind, d, rng):
-    """Draw one measurement setting for a d-qubit register."""
+    """Draw one measurement setting for a d-qubit register: an int array of
+    basis labels (local) or a dense Clifford unitary (joint)."""
     if kind == "local":
         if not 1 <= d <= MAX_LOCAL_QUBITS:
             raise ValueError(f"local ensemble supports 1 <= d <= {MAX_LOCAL_QUBITS}")
-        return MeasurementSetting(kind="local", local_bases=rng.integers(0, 3, size=d))
+        return rng.integers(0, 3, size=d)
     if kind == "joint":
         if not 1 <= d <= MAX_JOINT_QUBITS:
             raise ValueError(f"joint ensemble supports 1 <= d <= {MAX_JOINT_QUBITS}")
-        return MeasurementSetting(kind="joint", joint_unitary=sample_clifford_unitary(d, rng))
+        return sample_clifford_unitary(d, rng)
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
 def setting_unitary(setting):
     """Materialize the dense rotation for a setting."""
-    if setting.kind == "local":
-        return kron_all([BASIS_GATES[b] for b in setting.local_bases])
-    return setting.joint_unitary
+    if setting.ndim == 1:
+        return kron_all([BASIS_GATES[b] for b in setting])
+    return setting
 
 
-def shadow_estimate(setting, bits):
-    """Snapshot matrix for outcome ``bits`` under ``setting``."""
-    bits = np.asarray(bits, dtype=np.int64)
-    d = setting.d
-    if bits.shape != (d,) or not np.all((bits == 0) | (bits == 1)):
-        raise ValueError(f"outcome must be {d} bits")
-    if setting.kind == "local":
-        factors = []
-        for k in range(d):
-            u = BASIS_GATES[setting.local_bases[k]]
-            ket = u.conj().T[:, bits[k]]
-            factors.append(3.0 * np.outer(ket, ket.conj()) - PAULI_I)
-        return ShadowEstimate(mat=kron_all(factors))
-    u = setting.joint_unitary
-    dim = u.shape[0]
-    psi = u.conj().T[:, bits_to_index(bits)]
-    mat = (dim + 1.0) * np.outer(psi, psi.conj()) - np.eye(dim, dtype=complex)
-    return ShadowEstimate(mat=mat)
+def _factor_table(obs):
+    """Per-qubit estimate factors of a product observable, shape (d, 6), or None.
 
-
-def estimate_observable(shadow, obs):
-    """Single-shot estimate Tr(O rho_hat) from a snapshot."""
-    omat = obs.mat if isinstance(obs, Observable) else np.asarray(obs, dtype=complex)
-    if shadow.mat.shape != omat.shape:
-        raise ValueError(f"dimension mismatch {shadow.mat.shape} vs {omat.shape}")
-    return float(np.trace(omat @ shadow.mat).real)
-
-
-def local_factor_table(obs):
-    """Per-qubit estimate factors, shape (d, 3, 2), for product observables.
-
-    Entry [k, b, x] is Tr(O_k (3 U_b^dag |x><x| U_b - I)); the full estimate
-    under a local setting is the product over qubits.  Only available when
-    the observable carries a tensor-product factorization.
+    Entry [k, 2b + x] is Tr(O_k (3 U_b^dag |x><x| U_b - I)); the local
+    estimate is their product over qubits.  Built once per observable.
     """
     if obs.factors is None:
         return None
-    cached = getattr(obs, "_factor_table", None)
-    if cached is not None:
-        return cached
-    d = obs.n_qubits
-    table = np.empty((d, 3, 2))
-    for k in range(d):
-        f = obs.factors[k]
-        tr = float(np.trace(f).real)
-        for b in range(3):
-            rot = BASIS_GATES[b] @ f @ BASIS_GATES[b].conj().T
-            for x in range(2):
-                table[k, b, x] = 3.0 * rot[x, x].real - tr
-    obs._factor_table = table
+    table = getattr(obs, "_factor_table", None)
+    if table is None:
+        table = np.empty((obs.n_qubits, 3, 2))
+        for k, f in enumerate(obs.factors):
+            tr = float(np.trace(f).real)
+            for b, gate in enumerate(BASIS_GATES):
+                rot = gate @ f @ gate.conj().T
+                for x in range(2):
+                    table[k, b, x] = 3.0 * rot[x, x].real - tr
+        table = obs._factor_table = table.reshape(obs.n_qubits, 6)
     return table
 
 
-def estimate_from_setting(setting, bits, obs):
-    """Estimate without materializing the snapshot when a fast path exists."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if setting.kind == "local":
-        table = local_factor_table(obs)
+def _snapshots(kind, states):
+    """Trace-checked snapshot matrix of every measured state, stacked."""
+    if kind == "joint":
+        dim = states.shape[1]
+        snaps = ((dim + 1.0) * (states[:, :, None] * states.conj()[:, None, :])
+                 - np.eye(dim, dtype=complex))
+    else:
+        # kron_all over qubits, one stacked np.kron per qubit
+        n = len(states)
+        snaps = np.ones((n, 1, 1), dtype=complex)
+        for codes in states.T:
+            m = 2 * snaps.shape[1]
+            snaps = (snaps[:, :, None, :, None]
+                     * _LOCAL_SNAPSHOTS[codes][:, None, :, None, :]).reshape(n, m, m)
+    tr = np.trace(snaps, axis1=1, axis2=2)
+    bad = np.abs(tr - 1.0) > 1e-8
+    if bad.any():
+        raise ValueError(f"snapshot trace {tr[bad][0]:.9g} differs from 1")
+    return snaps
+
+
+def _estimates(kind, states, observables):
+    """Estimate of every observable at every measured state.
+
+    ``states`` holds one measured state per row: a ket psi = U^dag |x> of
+    length 2^d (joint) or one code 2b + x per qubit (local).  Returns shape
+    (n_states, n_observables).  A local product observable takes the
+    product of its factor table in qubit order; every other estimate is
+    Tr(O rho_hat) against the stacked snapshots, built once per call.
+    """
+    out = np.empty((len(states), len(observables)))
+    snaps = None
+    for j, obs in enumerate(observables):
+        table = _factor_table(obs) if kind == "local" else None
         if table is not None:
-            val = 1.0
-            for k in range(setting.d):
-                val *= table[k, setting.local_bases[k], bits[k]]
-            return val
-    return estimate_observable(shadow_estimate(setting, bits), obs)
+            # a running product keeps qubit order in every row
+            factors = table[np.arange(len(table)), states]
+            out[:, j] = np.multiply.accumulate(factors, axis=1)[:, -1]
+        else:
+            if snaps is None:
+                snaps = _snapshots(kind, states)
+            out[:, j] = np.trace(obs.mat @ snaps, axis1=1, axis2=2).real
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,28 +482,20 @@ def can_enumerate(kind, d):
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
-def _iter_settings(kind, d):
-    if kind == "local":
-        if d > MAX_ENUM_LOCAL:
-            raise ValueError(f"enumeration supports local d <= {MAX_ENUM_LOCAL}")
-        n_settings = 3**d
-        for bases in itertools.product(range(3), repeat=d):
-            yield MeasurementSetting(kind="local", local_bases=np.array(bases)), 1.0 / n_settings
-    elif kind == "joint":
-        if d > MAX_ENUM_JOINT:
-            raise ValueError(f"enumeration supports joint d <= {MAX_ENUM_JOINT}")
-        group = clifford_group(d)
-        for u in group:
-            yield MeasurementSetting(kind="joint", joint_unitary=u), 1.0 / len(group)
-    else:
-        raise ValueError(f"unknown ensemble kind {kind!r}")
+def _enumerated_bases(d):
+    """Basis labels of every local setting, shape (3^d, d), enumeration order."""
+    if d > MAX_ENUM_LOCAL:
+        raise ValueError(f"enumeration supports local d <= {MAX_ENUM_LOCAL}")
+    return np.array(list(itertools.product(range(3), repeat=d)))
 
 
 def _setting_unitaries(kind, d):
     """Every setting's rotation, stacked in enumeration order."""
     if kind == "joint":
         return clifford_group(d)
-    return np.array([setting_unitary(setting) for setting, _ in _iter_settings(kind, d)])
+    if kind == "local":
+        return np.array([setting_unitary(bases) for bases in _enumerated_bases(d)])
+    raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
 def exact_channel_apply(rho, kind):
@@ -548,20 +512,13 @@ def outcome_values(observables, kind, d):
     ``outcome_probabilities``.  An estimate depends on the atom and the
     observable only, so one table serves every state of the register.
     """
-    if kind == "joint":
-        # stacked snapshots (2^d + 1)|psi><psi| - I of every measured ket
-        dim = 1 << d
-        kets = _setting_unitaries(kind, d).conj().reshape(-1, dim)
-        snaps = ((dim + 1.0) * (kets[:, :, None] * kets.conj()[:, None, :])
-                 - np.eye(dim, dtype=complex))
-        return np.stack([np.trace(o.mat @ snaps, axis1=1, axis2=2).real for o in observables],
-                        axis=1)
-    values = []
-    for setting, _ in _iter_settings(kind, d):
-        for idx in range(1 << d):
-            bits = np.array([(idx >> (d - 1 - k)) & 1 for k in range(d)], dtype=np.int64)
-            values.append([estimate_from_setting(setting, bits, o) for o in observables])
-    return np.array(values)
+    if kind == "local":
+        bases = _enumerated_bases(d)
+        bits = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+        states = (2 * bases[:, None, :] + bits).reshape(-1, d)
+    else:
+        states = _setting_unitaries(kind, d).conj().reshape(-1, 1 << d)
+    return _estimates(kind, states, observables)
 
 
 def outcome_probabilities(rho, kind):
@@ -584,6 +541,9 @@ def outcome_distribution(rho, observables, kind):
 def sample_estimates(rho, observables, kind, rng):
     """One measurement step: draw a setting, measure, estimate all observables."""
     setting = sample_setting(kind, rho.n_qubits, rng)
-    u = setting_unitary(setting)
-    bits = born_sample(rho, u, rng)
-    return np.array([estimate_from_setting(setting, bits, o) for o in observables])
+    bits = born_sample(rho, setting_unitary(setting), rng)
+    if kind == "local":
+        state = 2 * setting + bits
+    else:
+        state = setting[bits_to_index(bits)].conj()
+    return _estimates(kind, state[None], observables)[0]

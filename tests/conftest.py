@@ -1,6 +1,11 @@
 """Shared helpers for the test suite (imported, not fixtures)."""
 
+import itertools
+
 import numpy as np
+
+from shadowcpd import qcore as qc
+from shadowcpd import shadows as sh
 
 
 def random_density(rng, d):
@@ -17,3 +22,70 @@ def random_pauli_letters(rng, d):
         letters = "".join(rng.choice(list("IXYZ")) for _ in range(d))
         if set(letters) != {"I"}:
             return letters
+
+
+# ---------------------------------------------------------------------------
+# plain per-atom references for the shadows estimate kernel.  A setting is
+# what shadows.sample_setting returns: basis labels (local) or a Clifford
+# unitary (joint); outcome bits are qubit 0 first.
+
+
+def ref_iter_settings(kind, d):
+    """Every (setting, weight) of an enumerable ensemble, in enumeration order."""
+    if kind == "local":
+        n_settings = 3**d
+        for bases in itertools.product(range(3), repeat=d):
+            yield np.array(bases), 1.0 / n_settings
+    else:
+        group = sh.clifford_group(d)
+        for u in group:
+            yield u, 1.0 / len(group)
+
+
+def ref_shadow_estimate(kind, setting, bits):
+    """Snapshot matrix for outcome ``bits`` under ``setting``."""
+    d = len(bits)
+    if kind == "local":
+        factors = []
+        for k in range(d):
+            u = sh.BASIS_GATES[setting[k]]
+            ket = u.conj().T[:, bits[k]]
+            factors.append(3.0 * np.outer(ket, ket.conj()) - qc.PAULI_I)
+        mat = qc.kron_all(factors)
+    else:
+        dim = setting.shape[0]
+        psi = setting.conj().T[:, qc.bits_to_index(bits)]
+        mat = (dim + 1.0) * np.outer(psi, psi.conj()) - np.eye(dim, dtype=complex)
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > 1e-8:
+        raise ValueError(f"snapshot trace {tr:.9g} differs from 1")
+    return mat
+
+
+def ref_estimate_observable(snapshot, obs):
+    """Single-shot estimate Tr(O rho_hat) from a snapshot."""
+    return float(np.trace(obs.mat @ snapshot).real)
+
+
+def ref_local_factor_table(obs):
+    """Entry [k, b, x] is Tr(O_k (3 U_b^dag |x><x| U_b - I))."""
+    table = np.empty((obs.n_qubits, 3, 2))
+    for k in range(obs.n_qubits):
+        f = obs.factors[k]
+        tr = float(np.trace(f).real)
+        for b in range(3):
+            rot = sh.BASIS_GATES[b] @ f @ sh.BASIS_GATES[b].conj().T
+            for x in range(2):
+                table[k, b, x] = 3.0 * rot[x, x].real - tr
+    return table
+
+
+def ref_estimate_from_setting(kind, setting, bits, obs):
+    """Factor-table product for local product observables, else the snapshot trace."""
+    if kind == "local" and obs.factors is not None:
+        table = ref_local_factor_table(obs)
+        val = 1.0
+        for k in range(len(bits)):
+            val *= table[k, setting[k], bits[k]]
+        return val
+    return ref_estimate_observable(ref_shadow_estimate(kind, setting, bits), obs)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import random_density, random_pauli_letters
+from conftest import random_density, random_pauli_letters, ref_iter_settings, ref_shadow_estimate
 from shadowcpd import betting as bt
 from shadowcpd import edetect as ed
 from shadowcpd import harness as hz
@@ -53,12 +53,12 @@ def test_criterion_01_reconstruction_exactness():
         d = 1 + i % 2
         rho = qc.DensityMatrix(random_density(rng, d))
         acc = np.zeros((2**d, 2**d), dtype=complex)
-        for setting, w in sh._iter_settings("local", d):
+        for setting, w in ref_iter_settings("local", d):
             u = sh.setting_unitary(setting)
             probs = qc.born_probabilities(rho, u)
             for idx in range(2**d):
                 bits = np.array([(idx >> (d - 1 - k)) & 1 for k in range(d)])
-                acc += w * probs[idx] * sh.shadow_estimate(setting, bits).mat
+                acc += w * probs[idx] * ref_shadow_estimate("local", setting, bits)
         worst_local = max(worst_local, float(np.abs(acc - rho.mat).max()))
     worst_joint = 0.0
     for _ in range(5):
@@ -66,7 +66,7 @@ def test_criterion_01_reconstruction_exactness():
         fwd = np.zeros((2, 2), dtype=complex)
         inv = np.zeros((2, 2), dtype=complex)
         n_settings = 0
-        for setting, w in sh._iter_settings("joint", 1):
+        for setting, w in ref_iter_settings("joint", 1):
             n_settings += 1
             u = sh.setting_unitary(setting)
             probs = qc.born_probabilities(rho, u)
@@ -74,7 +74,7 @@ def test_criterion_01_reconstruction_exactness():
                 proj = np.zeros((2, 2), dtype=complex)
                 proj[idx, idx] = 1.0
                 fwd += w * probs[idx] * (u.conj().T @ proj @ u)
-                inv += w * probs[idx] * sh.shadow_estimate(setting, np.array([idx])).mat
+                inv += w * probs[idx] * ref_shadow_estimate("joint", setting, np.array([idx]))
         assert n_settings == 24
         err_fwd = float(np.abs(fwd - (rho.mat + np.eye(2)) / 3.0).max())
         err_inv = float(np.abs(inv - rho.mat).max())

@@ -95,6 +95,39 @@ def test_run_rejects_missing_file(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", True), ("nu", True), ("run_cap", True), ("observables", {"rotated": True}),
+    ("theta1", True), ("betting", {"cbce": {"slack": True}}),
+    ("theta0", "low"), ("theta0", None), ("theta1", "high"), ("theta1", None),
+])
+def test_run_rejects_booleans_and_non_numbers(field, value, tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(dict(BASE, **{field: value})), encoding="utf-8")
+    rc = cli.main(["run", "--scenario", str(path), "--runs", "1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith(f"error: scenario.{field}")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--runs", "1"],
+    ["sweep", "--param", "theta1", "--values", "0.5", "--runs", "1"],
+    ["preset", "--name", "desk-fig4"],
+])
+def test_unwritable_out_exits_2(command, scenario_file, tmp_path, capsys):
+    out_path = str(tmp_path / "missing" / "out.txt")
+    args = [command[0]] if command[0] == "preset" else [command[0], "--scenario", scenario_file]
+    rc = cli.main([*args, *command[1:], "--out", out_path])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+    assert out_path in lines[0]
+
+
 def test_run_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "mangled.json"
     path.write_text("{not json", encoding="utf-8")

@@ -40,19 +40,6 @@ def log_cusum_closed_form(logs):
             for t in range(1, len(logs) + 1)]
 
 
-def test_baseline_increment_arithmetic():
-    assert ed.baseline_increment(0.0, 123.0) == 1.0
-    assert ed.baseline_increment(0.3, 3.0) == pytest.approx(1.9)
-    assert ed.baseline_increment(0.3, -3.0) == pytest.approx(0.1)
-
-
-def test_baseline_increment_rejects_inadmissible_bets():
-    with pytest.raises(ValueError):
-        ed.baseline_increment(0.5, -3.0, lam_bounds=(-1 / 3, 1 / 3))
-    with pytest.raises(ValueError):
-        ed.baseline_increment(0.4, -3.0)  # multiplier would be -0.2
-
-
 def never_stopping(kind, weights=(1.0,)):
     # log(1/alpha) = 690.8 keeps any log-statistic below it from stopping
     return ed.SequentialDetector(ed.DetectorConfig(weights=weights, alpha=1e-300, kind=kind))
@@ -241,7 +228,7 @@ def test_average_run_length_floor_under_null_feed():
         t = cap
         for step in range(1, cap + 1):
             o = 1.0 if rng.random() < 0.45 else -1.0  # mean -0.1
-            if det.advance([ed.baseline_increment(lam, o)]):
+            if det.advance([1.0 + lam * o]):
                 t = step
                 break
         stops.append(t)

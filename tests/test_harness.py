@@ -73,6 +73,31 @@ def test_post_change_needs_positive_theta1_when_nu_finite():
     assert sc.theta1 == -0.2
 
 
+@pytest.mark.parametrize("field, value, path", [
+    ("d", True, "scenario.d"),
+    ("nu", True, "scenario.nu"),
+    ("run_cap", True, "scenario.run_cap"),
+    ("observables", {"rotated": True}, "scenario.observables.rotated"),
+    ("theta1", True, "scenario.theta1"),
+    ("theta0", False, "scenario.theta0"),
+    ("alpha", True, "scenario.alpha"),
+    ("betting", {"cbce": {"slack": True}}, "scenario.betting.cbce.slack"),
+    ("betting", {"cbce": {"grid": True}}, "scenario.betting.cbce.grid"),
+    ("betting", {"constant": False}, "scenario.betting.constant"),
+    ("weights", [True], "scenario.weights"),
+    ("observables", {"matrices": [[[True, 0], [0, -1]]]}, r"scenario.observables.matrices\[0\]\[0\]\[0\]"),
+    ("theta0", "low", "scenario.theta0"),
+    ("theta0", None, "scenario.theta0"),
+    ("theta1", "high", "scenario.theta1"),
+    ("theta1", None, "scenario.theta1"),
+])
+def test_booleans_and_non_numbers_rejected(field, value, path):
+    # JSON true/false are Python bools, which are ints; neither may pass as a number,
+    # and a non-number must be reported, not compared
+    with pytest.raises(hz.ScenarioError, match=path):
+        scenario(**{field: value})
+
+
 def test_nu_validation():
     with pytest.raises(hz.ScenarioError, match="nu"):
         scenario(nu=0)
@@ -347,25 +372,26 @@ def test_matched_growth_reference_uses_scenario_slack():
 
 
 def test_one_estimate_pass_per_enumeration(monkeypatch):
-    # local d=2 has 3^2 settings x 4 outcomes = 36 atoms; the estimates of both
-    # observables at every atom serve the bounds and both states' samplers
+    # local d=2 has 3^2 settings x 4 outcomes = 36 atoms; one kernel call
+    # estimates both observables at every atom for the bounds and both
+    # states' samplers
     import shadowcpd.shadows as sh
 
     calls = []
-    real = sh.estimate_from_setting
+    real = sh._estimates
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(kind, states, observables):
+        calls.append((len(states), len(observables)))
+        return real(kind, states, observables)
 
-    monkeypatch.setattr(sh, "estimate_from_setting", counting)
+    monkeypatch.setattr(sh, "_estimates", counting)
     sc = scenario(d=2, observables={"rotated": 2})
     hz.ScenarioRuntime(sc)
-    assert len(calls) == 72
+    assert calls == [(36, 2)]
     calls.clear()
     st = hz.summarize([make_trial(0, 30, sc.nu)], sc)
     assert st.d_star_reference is not None
-    assert len(calls) <= 72
+    assert len(calls) <= 1
 
 
 def test_slack_that_leaves_no_bet_is_a_scenario_error():

@@ -91,19 +91,17 @@ def test_hermitian_eig_agrees_with_lapack():
         dim = 2**d
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = (g + g.conj().T) / 2
-        es = qc.hermitian_eig(qc.Observable(mat))
+        evals, v = qc.hermitian_eig(qc.Observable(mat))
         ref = np.linalg.eigvalsh(mat)
-        assert np.allclose(np.sort(es.eigenvalues), ref, atol=1e-9)
-        v = es.eigenvectors
+        assert np.allclose(np.sort(evals), ref, atol=1e-9)
         assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-9)
-        rebuilt = v @ np.diag(es.eigenvalues) @ v.conj().T
+        rebuilt = v @ np.diag(evals) @ v.conj().T
         assert np.allclose(rebuilt, mat, atol=1e-9)
 
 
 def test_hermitian_eig_handles_degenerate_spectrum():
-    es = qc.hermitian_eig(qc.pauli_string("XX"))
-    assert np.allclose(np.sort(es.eigenvalues), [-1, -1, 1, 1], atol=1e-10)
-    v = es.eigenvectors
+    evals, v = qc.hermitian_eig(qc.pauli_string("XX"))
+    assert np.allclose(np.sort(evals), [-1, -1, 1, 1], atol=1e-10)
     assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-10)
 
 

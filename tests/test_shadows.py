@@ -5,7 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pauli_letters
+from conftest import (
+    random_density,
+    random_pauli_letters,
+    ref_estimate_from_setting,
+    ref_estimate_observable,
+    ref_iter_settings,
+    ref_shadow_estimate,
+)
 from shadowcpd import qcore as qc
 from shadowcpd import shadows as sh
 
@@ -386,12 +393,12 @@ def test_snapshot_reconstruction_is_unbiased():
     for kind, d in (("local", 1), ("local", 2), ("joint", 1)):
         rho = qc.DensityMatrix(random_density(rng, d))
         acc = np.zeros((2**d, 2**d), dtype=complex)
-        for setting, w in sh._iter_settings(kind, d):
+        for setting, w in ref_iter_settings(kind, d):
             u = sh.setting_unitary(setting)
             probs = qc.born_probabilities(rho, u)
             for idx in range(2**d):
                 bits = np.array([(idx >> (d - 1 - k)) & 1 for k in range(d)])
-                acc += w * probs[idx] * sh.shadow_estimate(setting, bits).mat
+                acc += w * probs[idx] * ref_shadow_estimate(kind, setting, bits)
         assert np.abs(acc - rho.mat).max() < 1e-10
 
 
@@ -402,11 +409,43 @@ def test_fast_estimate_matches_dense_snapshot_path():
             rho = qc.DensityMatrix(random_density(rng, d))
             obs = qc.pauli_string(random_pauli_letters(rng, d))
             for _ in range(6):
+                # the production step on a copy of the stream, then the same
+                # draws for the dense reference
+                fork = np.random.default_rng()
+                fork.bit_generator.state = rng.bit_generator.state
+                fast = sh.sample_estimates(rho, [obs], kind, fork)[0]
                 setting = sh.sample_setting(kind, d, rng)
                 bits = qc.born_sample(rho, sh.setting_unitary(setting), rng)
-                fast = sh.estimate_from_setting(setting, bits, obs)
-                dense = sh.estimate_observable(sh.shadow_estimate(setting, bits), obs)
+                dense = ref_estimate_observable(ref_shadow_estimate(kind, setting, bits), obs)
                 assert abs(fast - dense) <= 1e-8 * max(1.0, abs(dense))
+
+
+
+@pytest.mark.parametrize("kind, d", [("local", d) for d in range(1, 7)]
+                         + [("joint", d) for d in range(1, 5)])
+def test_sample_estimates_match_per_atom_reference(kind, d):
+    # a seeded step must equal, bit for bit, the reference that draws the
+    # setting and then the outcome and estimates one observable at a time,
+    # and must leave the random stream at the same position
+    rng = np.random.default_rng(300 + 10 * d + (kind == "joint"))
+    dim = 2**d
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    observables = [qc.rotated_observable(d, 0.3),
+                   qc.pauli_string(random_pauli_letters(rng, d)),
+                   qc.Observable(g + g.conj().T)]
+    rho = qc.DensityMatrix(random_density(rng, d))
+    for seed in range(200 if d <= 4 else 20):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sh.sample_estimates(rho, observables, kind, got_rng)
+        if kind == "local":
+            setting = want_rng.integers(0, 3, size=d)
+            u = qc.kron_all([sh.BASIS_GATES[b] for b in setting])
+        else:
+            setting = u = sh.sample_clifford_unitary(d, want_rng)
+        bits = qc.born_sample(rho, u, want_rng)
+        want = [ref_estimate_from_setting(kind, setting, bits, o) for o in observables]
+        assert np.array_equal(got, np.array(want))
+        assert got_rng.random() == want_rng.random()
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +522,7 @@ def test_outcome_tables_match_per_atom_reference():
         states = [qc.make_theta_state(d, 0.61), qc.DensityMatrix(random_density(rng, d))]
         values = sh.outcome_values(observables, kind, d)
         tables = [sh.outcome_probabilities(rho, kind) for rho in states]
-        settings = list(sh._iter_settings(kind, d))
+        settings = list(ref_iter_settings(kind, d))
         assert values.shape == (len(settings) * dim, len(observables))
         outcomes = [[(x >> (d - 1 - k)) & 1 for k in range(d)] for x in range(dim)]
         # every setting, except a stride over the 11520 joint d=2 settings
@@ -491,7 +530,7 @@ def test_outcome_tables_match_per_atom_reference():
         for s in range(0, len(settings), stride):
             setting, w = settings[s]
             atoms = slice(s * dim, (s + 1) * dim)
-            want = [[sh.estimate_from_setting(setting, bits, o) for o in observables]
+            want = [[ref_estimate_from_setting(kind, setting, bits, o) for o in observables]
                     for bits in outcomes]
             assert np.array_equal(values[atoms], np.array(want))
             for rho, probs in zip(states, tables):
@@ -533,14 +572,16 @@ def test_can_enumerate_limits():
         sh.can_enumerate("weird", 1)
 
 
-def test_measurement_setting_validation():
+def test_sample_setting_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sh.MeasurementSetting(kind="other")
+        sh.sample_setting("other", 1, rng)
     with pytest.raises(ValueError):
-        sh.MeasurementSetting(kind="local")  # missing bases
+        sh.sample_setting("local", sh.MAX_LOCAL_QUBITS + 1, rng)
     with pytest.raises(ValueError):
-        sh.MeasurementSetting(kind="local", local_bases=np.array([0, 5]))
-    with pytest.raises(ValueError):
-        sh.MeasurementSetting(kind="joint")  # missing unitary
-    s = sh.MeasurementSetting(kind="local", local_bases=np.array([0, 1, 2]))
-    assert s.d == 3
+        sh.sample_setting("joint", sh.MAX_JOINT_QUBITS + 1, rng)
+    labels = sh.sample_setting("local", 3, rng)
+    assert labels.shape == (3,) and set(labels.tolist()) <= {0, 1, 2}
+    assert sh.setting_unitary(labels).shape == (8, 8)
+    u = sh.sample_setting("joint", 2, rng)
+    assert sh.setting_unitary(u) is u
