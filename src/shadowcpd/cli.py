@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -45,6 +46,18 @@ def _write_out(path, text):
         raise SystemExit2(f"cannot write {path}: {exc}")
 
 
+def _check_writable(path):
+    """Exit 2 before any simulation when ``path`` cannot be written; the
+    probe leaves no file behind."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {path}: {exc}")
+    if not existed:
+        os.remove(path)
+
+
 def _require_counts(args, *names):
     for name in names:
         value = getattr(args, name)
@@ -55,6 +68,8 @@ def _require_counts(args, *names):
 def _cmd_run(args):
     _require_counts(args, "runs", "parallelism")
     scenario = _load_scenario(args.scenario)
+    if args.out:
+        _check_writable(args.out)
     t0 = time.perf_counter()
     results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism)
     wall = time.perf_counter() - t0
@@ -98,6 +113,8 @@ def _cmd_sweep(args):
         values = [json.loads(v) for v in args.values.split(",")]
     except json.JSONDecodeError as exc:
         raise SystemExit2(f"cannot parse sweep values {args.values!r}: {exc}")
+    if args.out:
+        _check_writable(args.out)
     header = [
         "param", "value", "runs", "mean_run_length", "mean_delay",
         "delay_q10", "delay_q25", "delay_q50", "delay_q75", "delay_q90",
@@ -172,12 +189,28 @@ def _cmd_validate(args):
         target = _exact_local_channel(rho.mat, d)
         err = float(np.abs(out - target).max())
         check(f"local channel enumeration d={d} (err {err:.2e})", err <= 1e-10)
-    # the Clifford ensemble depolarizes: rho -> (rho + I) / (2^d + 1)
-    for d in (1, 2):
+    # the Clifford ensemble depolarizes, rho -> (rho + I) / (2^d + 1), and its
+    # exact tables run over the stabilizer states a Clifford measures
+    for d in (1, 2, 3):
         rho = qcore.make_theta_state(d, 0.61)
         out = shadows.exact_channel_apply(rho, "joint")
         err = float(np.abs(out - (rho.mat + np.eye(2**d)) / (2**d + 1.0)).max())
-        check(f"joint channel enumeration d={d} (err {err:.2e})", err <= 1e-10)
+        check(f"joint channel on stabilizer states d={d} (err {err:.2e})", err <= 1e-10)
+    # ... and those states are exactly the Clifford group's measured states,
+    # each with the summed weight of the Clifford atoms that measure it
+    for d in (1, 2):
+        group = shadows.clifford_group(d)
+        table = shadows.stabilizer_bases(d).conj().reshape(-1, 2**d)
+        atom_row = _fold_onto(group.conj().reshape(-1, 2**d), table)
+        rho = qcore.make_theta_state(d, 0.61)
+        atom_probs = (qcore.born_probabilities(rho, group) / len(group)).ravel()
+        # slot 0 collects the atoms whose state is missing from the table
+        hits = np.bincount(atom_row + 1, minlength=len(table) + 1)
+        folded = np.bincount(atom_row + 1, weights=atom_probs, minlength=len(table) + 1)[1:]
+        err = float(np.abs(shadows.outcome_probabilities(rho, "joint") - folded).max())
+        ok = hits[0] == 0 and (hits[1:] == hits[1]).all() and err <= 1e-15
+        check(f"stabilizer table d={d} equals the folded enumeration of {len(group)} "
+              f"Cliffords (weight err {err:.2e})", ok)
 
     # estimates always inside exhaustive bounds
     obs = qcore.rotated_observable(2, 0.0)
@@ -197,6 +230,18 @@ def _cmd_validate(args):
     check("covering-interval cardinality up to 10^4", ok)
 
     return 1 if failures else 0
+
+
+def _fold_onto(kets, table):
+    """Row of ``table`` holding each ket up to global phase, -1 where none
+    does; each ket is rotated to make its first nonzero entry positive."""
+    def canon(k):
+        lead = k[np.arange(len(k)), (np.abs(k) > 1e-12).argmax(axis=1)]
+        # + 0.0 turns negative zeros positive, so equal states get equal bytes
+        return np.round(k * (np.abs(lead) / lead)[:, None], 9) + 0.0
+
+    rows = {row.tobytes(): i for i, row in enumerate(canon(table))}
+    return np.array([rows.get(row.tobytes(), -1) for row in canon(kets)])
 
 
 def _exact_local_channel(mat, d):

@@ -21,6 +21,13 @@ product over qubits of the factors Tr(O_k (3|psi_k><psi_k| - I)).  Exact
 enumeration passes every atom of the ensemble to the kernel; a direct
 sampling step passes the one atom it drew.
 
+The exact joint tables do not enumerate Cliffords.  A uniformly random
+Clifford maps |x> back to a uniformly random one of the N_d stabilizer
+states (N_d = 6, 60, 1080 at d = 1, 2, 3), so the joint outcome is that
+state, drawn with probability 2^d / N_d <psi|rho|psi>.  ``stabilizer_bases``
+lists the states in the affine/quadratic form of Dehaene and De Moor,
+grouped into orthonormal bases that are measured like Clifford settings.
+
 Joint Clifford elements are drawn by sampling the symplectic group
 Sp(2d, 2) through the canonical transvection construction of Koenig and
 Smolin, attaching uniform Pauli signs, and lifting the resulting stabilizer
@@ -28,10 +35,13 @@ tableau (Aaronson and Gottesman) to a dense unitary.  The lift is integer
 Pauli-frame arithmetic: every entry is 0, +-v_r or +-i v_r with
 v_r = 2^-r / sqrt(2^-r) and 2^r the support size of U|0...0>, so an entry
 is a table lookup and carries the bits a floating-point projector lift
-would compute exactly.  The full group at d <= 2 is the sign-free lifts
-times their Pauli sign variants.  The construction is validated by the
-exact depolarizing-channel identity, which this module can also evaluate
-by full enumeration for small registers.
+would compute exactly.  The stabilizer-state table takes its entries from
+the same lookup, so a state gets the same estimate bits from the table as
+from any Clifford that measures it.  The full group at d <= 2 is the
+sign-free lifts times their Pauli sign variants; it stays as the oracle
+that the folded stabilizer table is checked against.  The construction is
+validated by the exact depolarizing-channel identity, which this module
+can also evaluate by full enumeration for small registers.
 """
 
 from __future__ import annotations
@@ -68,8 +78,9 @@ _LOCAL_SNAPSHOTS = np.array([3.0 * np.outer(ket, ket.conj()) - PAULI_I
 
 MAX_LOCAL_QUBITS = MAX_QUBITS
 MAX_JOINT_QUBITS = 6
-#: largest register for which settings x outcomes enumeration is practical
-MAX_ENUM_LOCAL = 3
+#: largest register whose outcome tables are enumerated: 6^d local Pauli
+#: eigenstate atoms, or N_d joint stabilizer states (1080 at d = 3)
+MAX_ENUM = 3
 
 
 @dataclass(frozen=True)
@@ -296,6 +307,7 @@ def sample_clifford_unitary(d, rng):
     return _lift(rows, rng.integers(0, 2, size=2 * d).tolist(), d)
 
 
+#: largest register whose full Clifford group ``clifford_group`` materializes
 MAX_ENUM_JOINT = 2
 
 _CLIFFORD_GROUPS = {}
@@ -339,6 +351,57 @@ def clifford_group(d):
         group.flags.writeable = False
         _CLIFFORD_GROUPS[d] = group
     return _CLIFFORD_GROUPS[d]
+
+
+def _subspace_spans(d, k):
+    """Every k-dimensional subspace of GF(2)^d, once each, as its span list:
+    entry y is the sum of the generators selected by the bits of y."""
+    spans = {}
+    for gens in itertools.combinations(range(1, 1 << d), k):
+        span = [0]
+        for g in gens:
+            span += [s ^ g for s in span]
+        key = frozenset(span)
+        if len(key) == 1 << k:
+            spans.setdefault(key, span)
+    return list(spans.values())
+
+
+@functools.lru_cache(maxsize=None)
+def stabilizer_bases(d):
+    """Every d-qubit stabilizer state mod phase, grouped into orthonormal bases.
+
+    Returns a read-only stack of shape (N_d / 2^d, 2^d, 2^d): row x of basis
+    j is the bra <psi|, so a basis is measured like a Clifford setting and
+    row x of its conjugate is the measured ket.  A state with support on the
+    coset x0 + V of a k-dimensional subspace V = span(g_1, ..., g_k) is
+    2^-k/2 sum_y i^(c.y) (-1)^(q(y) + b.y) |x0 + sum_a y_a g_a> (Dehaene and
+    De Moor), with c.y and b.y the integer dot products over y in GF(2)^k
+    and q a sum of cross terms y_a y_b.  Each (V, q, c) gives one basis: its
+    2^(d-k) cosets, each represented by its least element, times the 2^k
+    sign vectors b.  Entries come from ``_LIFT_VALUES[k]``.
+    """
+    if not 1 <= d <= MAX_ENUM:
+        raise ValueError(f"stabilizer_bases supports 1 <= d <= {MAX_ENUM}")
+    bases = []
+    for k in range(d + 1):
+        bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        dots = bits @ bits.T
+        pairs = list(itertools.combinations(range(k), 2))
+        cross = bits[:, [a for a, _ in pairs]] * bits[:, [b for _, b in pairs]]
+        quads = ((np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1) @ cross.T
+        # phase code of <psi| at point y, axes (q, c, b, y): the conjugate of
+        # i^(c.y) (-1)^(q(y) + b.y)
+        bra = -(dots[None, :, None, :] + 2 * (quads[:, None, None, :] + dots[None, None])) & 3
+        for span in _subspace_spans(d, k):
+            reps = sorted({min(x ^ s for s in span) for x in range(1 << d)})
+            codes = np.full(bra.shape[:2] + (len(reps), 1 << k, 1 << d), _OFF)
+            for i, x0 in enumerate(reps):
+                codes[:, :, i][..., np.bitwise_xor(x0, span)] = bra
+            bases.append(_LIFT_VALUES[k][codes.reshape(-1, 1 << d, 1 << d)])
+    out = np.concatenate(bases)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +504,9 @@ def estimator_bounds(obs, kind, mode="analytic"):
 
     ``analytic`` uses closed-form bounds: +-3^{|support|} ||O||_inf for the
     local ensemble and (2^d + 1) eig_minmax(O) - Tr(O) for the joint one.
-    ``exhaustive`` enumerates every (setting, outcome) pair, which is
-    supported for the local ensemble up to d = 3 and the joint ensemble up
-    to d = 2, and always yields a range contained in the analytic one.
+    ``exhaustive`` enumerates every outcome atom, (setting, outcome) pairs
+    for the local ensemble and stabilizer states for the joint one, up to
+    d = 3, and always yields a range contained in the analytic one.
     """
     if kind not in ("local", "joint"):
         raise ValueError(f"unknown ensemble kind {kind!r}")
@@ -475,24 +538,23 @@ def value_range(values):
 
 def can_enumerate(kind, d):
     """Whether the (ensemble, width) outcome distribution is enumerable."""
-    if kind == "local":
-        return d <= MAX_ENUM_LOCAL
-    if kind == "joint":
-        return d <= MAX_ENUM_JOINT
-    raise ValueError(f"unknown ensemble kind {kind!r}")
+    if kind not in ("local", "joint"):
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    return d <= MAX_ENUM
 
 
 def _enumerated_bases(d):
     """Basis labels of every local setting, shape (3^d, d), enumeration order."""
-    if d > MAX_ENUM_LOCAL:
-        raise ValueError(f"enumeration supports local d <= {MAX_ENUM_LOCAL}")
+    if d > MAX_ENUM:
+        raise ValueError(f"enumeration supports local d <= {MAX_ENUM}")
     return np.array(list(itertools.product(range(3), repeat=d)))
 
 
 def _setting_unitaries(kind, d):
-    """Every setting's rotation, stacked in enumeration order."""
+    """Every setting's rotation, stacked in enumeration order: the 3^d local
+    basis choices, or the joint ``stabilizer_bases``."""
     if kind == "joint":
-        return clifford_group(d)
+        return stabilizer_bases(d)
     if kind == "local":
         return np.array([setting_unitary(bases) for bases in _enumerated_bases(d)])
     raise ValueError(f"unknown ensemble kind {kind!r}")
@@ -532,7 +594,8 @@ def outcome_distribution(rho, observables, kind):
 
     Returns (probs, values) where probs has one entry per atom and values
     has shape (n_atoms, n_observables).  Only enumerable configurations
-    are supported (local with d <= 3, joint with d <= 2).
+    are supported (d <= 3): the local atoms are (setting, outcome) pairs,
+    the joint ones the stabilizer states.
     """
     return (outcome_probabilities(rho, kind),
             outcome_values(observables, kind, rho.n_qubits))

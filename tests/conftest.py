@@ -89,3 +89,18 @@ def ref_estimate_from_setting(kind, setting, bits, obs):
             val *= table[k, setting[k], bits[k]]
         return val
     return ref_estimate_observable(ref_shadow_estimate(kind, setting, bits), obs)
+
+
+def ref_state_key(ket):
+    """Hashable key of a ket up to global phase: its first nonzero entry is
+    rotated onto the positive reals, then every entry rounded."""
+    j = int(np.flatnonzero(np.abs(ket) > 1e-12)[0])
+    return tuple(np.round(ket * (abs(ket[j]) / ket[j]), 9).tolist())
+
+
+def ref_fold_index(kets, table_kets):
+    """Row of ``table_kets`` holding each of ``kets`` up to phase; the table
+    rows must be distinct states."""
+    index = {ref_state_key(t): i for i, t in enumerate(table_kets)}
+    assert len(index) == len(table_kets)
+    return np.array([index[ref_state_key(k)] for k in kets])

@@ -116,7 +116,12 @@ def test_run_rejects_booleans_and_non_numbers(field, value, tmp_path, capsys):
     ["sweep", "--param", "theta1", "--values", "0.5", "--runs", "1"],
     ["preset", "--name", "desk-fig4"],
 ])
-def test_unwritable_out_exits_2(command, scenario_file, tmp_path, capsys):
+def test_unwritable_out_exits_2(command, scenario_file, tmp_path, capsys, monkeypatch):
+    # the --out path is checked before any trial is simulated
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(hz, "run_experiment", no_simulation)
     out_path = str(tmp_path / "missing" / "out.txt")
     args = [command[0]] if command[0] == "preset" else [command[0], "--scenario", scenario_file]
     rc = cli.main([*args, *command[1:], "--out", out_path])
@@ -262,6 +267,22 @@ def test_growth_matches_summary_reference_with_slack(tmp_path, capsys):
     assert math.isclose(want, 0.975 * math.log1p(0.6) + 0.025 * math.log1p(-0.6), rel_tol=1e-12)
 
 
+def test_growth_exact_joint_three_qubits(tmp_path, capsys):
+    # joint d=3 is tabulated over its 1080 stabilizer states: growth is exact
+    # and equals the summary's reference
+    doc = dict(BASE, d=3, ensemble="joint", theta1=0.8, nu=50, alpha=0.01)
+    path = tmp_path / "joint3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = cli.main(["growth", "--scenario", str(path)])
+    assert rc == 0
+    out, _ = capsys.readouterr()
+    d_star = json.loads(out)["d_star"]
+    assert round(d_star, 7) == 0.0408955
+    sc = hz.Scenario.from_dict(doc)
+    want = hz.summarize(hz.run_experiment(sc, 1, master_seed=0), sc).d_star_reference
+    assert d_star == float(hz._fmt_float(want))
+
+
 @pytest.mark.parametrize("command", [
     ["run", "--runs", "1"],
     ["sweep", "--param", "theta1", "--values", "0.5", "--runs", "1"],
@@ -322,4 +343,6 @@ def test_validate_passes(capsys):
     out, _ = capsys.readouterr()
     assert "FAIL" not in out
     assert out.count("PASS") >= 5
-    assert "PASS  joint channel enumeration d=2" in out
+    for d in (1, 2, 3):
+        assert f"PASS  joint channel on stabilizer states d={d} " in out
+    assert "PASS  stabilizer table d=2 equals the folded enumeration of 11520 Cliffords" in out

@@ -275,11 +275,11 @@ def test_emcd_policies_run():
 
 
 #: results_csv SHA-256 of short experiments on the direct samplers, recorded
-#: with the float projector lift of joint Cliffords; the sampled unitaries,
-#: Born draws and estimates must keep every bit
+#: with the float projector lift of joint Cliffords and the analytic bounds;
+#: the sampled unitaries, Born draws and estimates must keep every bit
 DIRECT_SAMPLER_DIGESTS = {
     "joint": ("4582905f5a6974a2484f4bc083f6986de0ae5ec01e585cf10e64dcfb50a59e90",
-              dict(d=3, theta1=0.8)),
+              dict(d=3, theta1=0.8, bounds_mode="analytic")),
     "local": ("be6b9f1cbad61be89461c6725c9c6028472c1729d18bddaf93d8fb9c929afd45",
               dict(d=4, observables={"rotated": 2})),
 }
@@ -290,8 +290,14 @@ def test_direct_sampler_output_is_pinned(ensemble):
     digest, overrides = DIRECT_SAMPLER_DIGESTS[ensemble]
     sc = scenario(ensemble=ensemble, nu=50, alpha=0.01, **overrides)
     rt = hz.ScenarioRuntime(sc)
+    if ensemble == "joint":
+        # joint d=3 runs on the stabilizer-state table; drive the direct
+        # sampler in its place
+        assert isinstance(rt.post_sampler, hz._TableSampler)
+        rt.pre_sampler, rt.post_sampler = (hz._DirectSampler(rho, rt.observables, ensemble)
+                                           for rho in (rt.pre_state, rt.post_state))
     assert isinstance(rt.post_sampler, hz._DirectSampler)
-    res = hz.run_experiment(sc, 5, master_seed=11)
+    res = [hz.run_trial(sc, hz.derive_seed(11, i), i, rt) for i in range(5)]
     assert hashlib.sha256(hz.results_csv(sc, res).encode()).hexdigest() == digest
 
 

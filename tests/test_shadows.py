@@ -1,6 +1,7 @@
 """Symplectic sampling, Clifford tableau lift, snapshots and estimator bounds."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from conftest import (
     random_pauli_letters,
     ref_estimate_from_setting,
     ref_estimate_observable,
+    ref_fold_index,
     ref_iter_settings,
     ref_shadow_estimate,
+    ref_state_key,
 )
 from shadowcpd import qcore as qc
 from shadowcpd import shadows as sh
@@ -368,11 +371,11 @@ def test_sample_clifford_unitary_is_unitary():
 
 def test_joint_channel_is_depolarizing():
     rng = np.random.default_rng(21)
-    for d in (1, 2):
+    for d in (1, 2, 3, 3):  # two states at d = 3
         rho = qc.DensityMatrix(random_density(rng, d))
         out = sh.exact_channel_apply(rho, "joint")
         want = (rho.mat + np.eye(2**d)) / (2**d + 1.0)
-        assert np.abs(out - want).max() < 1e-10
+        assert np.abs(out - want).max() <= 1e-14
 
 
 def test_local_channel_matches_per_qubit_oracle():
@@ -504,14 +507,16 @@ def test_outcome_distribution_joint_two_qubits():
     rho = qc.DensityMatrix(random_density(rng, 2))
     obs = qc.pauli_string("XZ")
     probs, values = sh.outcome_distribution(rho, [obs], "joint")
-    assert probs.shape == (11520 * 4,)
+    assert probs.shape == (60,)
     assert abs(probs.sum() - 1.0) < 1e-9
     assert abs(float(probs @ values[:, 0]) - qc.expectation(rho, obs)) < 1e-9
 
 
 def test_outcome_tables_match_per_atom_reference():
     # the stacked tables must equal, bit for bit, estimates and Born weights
-    # computed one setting and one outcome at a time
+    # computed one setting and one outcome at a time; a joint table atom is
+    # a stabilizer state, which every Clifford atom measuring it must match
+    # bit for bit, and whose weight is the sum of theirs
     rng = np.random.default_rng(53)
     for kind, d in (("local", 1), ("local", 2), ("local", 3), ("joint", 1), ("joint", 2)):
         dim = 2**d
@@ -523,19 +528,125 @@ def test_outcome_tables_match_per_atom_reference():
         values = sh.outcome_values(observables, kind, d)
         tables = [sh.outcome_probabilities(rho, kind) for rho in states]
         settings = list(ref_iter_settings(kind, d))
-        assert values.shape == (len(settings) * dim, len(observables))
+        if kind == "local":
+            assert values.shape == (len(settings) * dim, len(observables))
+            atom_row = np.arange(len(values))
+        else:
+            assert values.shape == ({1: 6, 2: 60}[d], len(observables))
+            kets = np.array([u.conj() for u, _ in settings]).reshape(-1, dim)
+            atom_row = ref_fold_index(kets, sh.stabilizer_bases(d).conj().reshape(-1, dim))
         outcomes = [[(x >> (d - 1 - k)) & 1 for k in range(d)] for x in range(dim)]
+        folded = [np.zeros(len(values)) for _ in states]
         # every setting, except a stride over the 11520 joint d=2 settings
         stride = 7 if kind == "joint" and d == 2 else 1
-        for s in range(0, len(settings), stride):
-            setting, w = settings[s]
-            atoms = slice(s * dim, (s + 1) * dim)
+        for s, (setting, w) in enumerate(settings):
+            rows = atom_row[s * dim:(s + 1) * dim]
+            for rho, acc in zip(states, folded):
+                np.add.at(acc, rows, w * qc.born_probabilities(rho, sh.setting_unitary(setting)))
+            if s % stride:
+                continue
             want = [[ref_estimate_from_setting(kind, setting, bits, o) for o in observables]
                     for bits in outcomes]
-            assert np.array_equal(values[atoms], np.array(want))
-            for rho, probs in zip(states, tables):
-                want = w * qc.born_probabilities(rho, sh.setting_unitary(setting))
-                assert np.array_equal(probs[atoms], want)
+            assert np.array_equal(values[rows], np.array(want))
+        for probs, acc in zip(tables, folded):
+            if kind == "local":
+                assert np.array_equal(probs, acc)
+            else:
+                assert np.abs(probs - acc).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# stabilizer-state tables of the joint ensemble
+
+
+def test_stabilizer_table_folds_clifford_enumeration():
+    # the Clifford-group atom table, folded by measured state: every atom's
+    # estimates equal its state's row bit for bit, and the atoms' weights sum
+    # to the state's weight
+    rng = np.random.default_rng(54)
+    for d in (1, 2):
+        dim = 2**d
+        group = sh.clifford_group(d)
+        kets = group.conj().reshape(-1, dim)
+        table = sh.stabilizer_bases(d).conj().reshape(-1, dim)
+        atom_row = ref_fold_index(kets, table)
+        assert np.array_equal(np.bincount(atom_row), np.full(len(table), len(kets) // len(table)))
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        observables = [qc.rotated_observable(d, 0.3),
+                       qc.pauli_string(random_pauli_letters(rng, d)),
+                       qc.Observable(g + g.conj().T)]
+        values = sh.outcome_values(observables, "joint", d)
+        assert np.array_equal(sh._estimates("joint", kets, observables), values[atom_row])
+        for _ in range(2):
+            rho = qc.DensityMatrix(random_density(rng, d))
+            atom_probs = (qc.born_probabilities(rho, group) / len(group)).ravel()
+            folded = np.bincount(atom_row, weights=atom_probs, minlength=len(table))
+            assert np.abs(sh.outcome_probabilities(rho, "joint") - folded).max() <= 1e-15
+
+
+def test_stabilizer_table_sizes_and_distinct_states():
+    for d, n_states in ((1, 6), (2, 60), (3, 1080)):
+        bases = sh.stabilizer_bases(d)
+        assert bases.shape == (n_states >> d, 2**d, 2**d)
+        for u in bases:
+            assert np.abs(u @ u.conj().T - np.eye(2**d)).max() < 1e-15
+        kets = bases.conj().reshape(-1, 2**d)
+        assert len({ref_state_key(k) for k in kets}) == n_states
+    assert sh.stabilizer_bases(3) is sh.stabilizer_bases(3)
+    with pytest.raises(ValueError):
+        sh.stabilizer_bases(sh.MAX_ENUM + 1)
+
+
+def test_stabilizer_states_are_a_three_design():
+    # frame potential mean |<psi|phi>|^(2t) over pairs equals the Haar value
+    # 1 / C(D + t - 1, t) for t <= 3, and exceeds it at t = 4
+    for d in (1, 2, 3):
+        dim = 2**d
+        kets = sh.stabilizer_bases(d).conj().reshape(-1, dim)
+        overlaps = np.abs(kets.conj() @ kets.T) ** 2
+        for t in (1, 2, 3, 4):
+            haar = 1.0 / math.comb(dim + t - 1, t)
+            potential = float((overlaps**t).mean())
+            if t <= 3:
+                assert abs(potential - haar) <= 1e-14
+            else:
+                assert potential > haar * (1.0 + 1e-3)
+
+
+def _chi_square_stat(counts, probs, n):
+    # pool the cells expected below 5 draws into one
+    expected = n * probs
+    small = expected < 5.0
+    obs = np.append(counts[~small], counts[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    keep = exp > 0
+    return float((((obs - exp) ** 2)[keep] / exp[keep]).sum()), int(keep.sum()) - 1
+
+
+def _chi_square_critical(dof, z=3.09):
+    # Wilson-Hilferty upper quantile, z = 3.09 for level 1e-3
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + z * math.sqrt(a)) ** 3
+
+
+def test_direct_joint_draws_follow_stabilizer_table():
+    # seeded direct steps at joint d = 3 land on the table's values, bit for
+    # bit, with the table's frequencies; the same draws reject a table whose
+    # states are weighted uniformly
+    d, n = 3, 4000
+    rho = qc.make_theta_state(d, 0.8)
+    obs = [qc.rotated_observable(d, 0.3)]
+    probs, values = sh.outcome_distribution(rho, obs, "joint")
+    distinct, state_value = np.unique(values[:, 0], return_inverse=True)
+    rng = np.random.default_rng(56)
+    draws = np.array([sh.sample_estimates(rho, obs, "joint", rng)[0] for _ in range(n)])
+    idx = np.searchsorted(distinct, draws)
+    assert np.array_equal(distinct[idx], draws)
+    counts = np.bincount(idx, minlength=distinct.size)
+    for weights, accept in ((probs, True), (np.full(probs.size, 1.0 / probs.size), False)):
+        stat, dof = _chi_square_stat(counts, np.bincount(state_value, weights), n)
+        assert dof >= 3
+        assert (stat <= _chi_square_critical(dof)) == accept
 
 
 def test_sample_estimates_deterministic_and_in_bounds():
@@ -566,8 +677,8 @@ def test_monte_carlo_mean_tracks_expectation():
 def test_can_enumerate_limits():
     assert sh.can_enumerate("local", 3)
     assert not sh.can_enumerate("local", 4)
-    assert sh.can_enumerate("joint", 2)
-    assert not sh.can_enumerate("joint", 3)
+    assert sh.can_enumerate("joint", 3)
+    assert not sh.can_enumerate("joint", 4)
     with pytest.raises(ValueError):
         sh.can_enumerate("weird", 1)
 
