@@ -29,13 +29,6 @@ DEFAULT_SLACK_FRACTION = 0.005
 _MC_CHUNK = 4096
 
 
-def _bounds_pair(bounds):
-    if hasattr(bounds, "lower"):
-        return float(bounds.lower), float(bounds.upper)
-    lo, hi = bounds
-    return float(lo), float(hi)
-
-
 @dataclass(frozen=True)
 class LambdaInterval:
     """Closed interval of admissible bets, with the slack that shaped it."""
@@ -68,14 +61,14 @@ class LambdaInterval:
 
 
 def default_slack(bounds) -> float:
-    lower, upper = _bounds_pair(bounds)
+    lower, upper = bounds
     width = (-1.0 / lower) - (-1.0 / upper)
     return DEFAULT_SLACK_FRACTION * width
 
 
 def lambda_interval(bounds, slack=None) -> LambdaInterval:
     """Admissible bets (-1/u + slack, -1/l - slack) for estimates in [l, u]."""
-    lower, upper = _bounds_pair(bounds)
+    lower, upper = bounds
     if lower >= 0.0 or upper <= 0.0:
         raise ValueError(
             f"estimate range [{lower!r}, {upper!r}] must straddle 0 for sign-indefinite betting"
@@ -139,7 +132,7 @@ class UPExpert:
 
     def __init__(self, interval: LambdaInterval, o_bounds=None, k: int = UP_GRID_SIZE):
         self.interval = interval
-        self.o_bounds = None if o_bounds is None else _bounds_pair(o_bounds)
+        self.o_bounds = o_bounds
         self.grid = chebyshev_grid(interval, k)
         self.log_wealth = np.zeros(k)
 
@@ -217,7 +210,7 @@ class CBCEBettor:
     def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE,
                  layout: CBCELayout | None = None):
         self.interval = interval
-        self.o_bounds = _bounds_pair(o_bounds)
+        self.o_bounds = o_bounds
         self.k = int(k)
         self.grid = chebyshev_grid(interval, k)
         self.layout = layout if layout is not None else CBCELayout()
@@ -331,21 +324,21 @@ class GrowthEstimate:
     per_observable: tuple
 
 
-def _growth_grid(interval: LambdaInterval, grid_size: int) -> np.ndarray:
-    grid = np.linspace(interval.lo, interval.hi, grid_size)
+def _growth_grid(interval: LambdaInterval) -> np.ndarray:
+    grid = np.linspace(interval.lo, interval.hi, GROWTH_GRID_SIZE)
     # pin the node nearest zero to exactly zero so "no bet" is always on the grid
     grid[np.abs(grid).argmin()] = 0.0
     return grid
 
 
-def growth_curve(probs, values, interval: LambdaInterval, grid_size: int = GROWTH_GRID_SIZE):
+def growth_curve(probs, values, interval: LambdaInterval):
     """Expected log-growth E[log(1 + lam * o)] of each bet on the growth grid.
 
     ``values`` are the finitely many outcomes of o and ``probs`` their
     probabilities; atoms sharing a value are merged before the logarithms
     are taken.  Returns (grid, curve).
     """
-    grid = _growth_grid(interval, grid_size)
+    grid = _growth_grid(interval)
     distinct, atom_value = np.unique(values, return_inverse=True)
     weights = np.bincount(atom_value, weights=probs, minlength=distinct.size)
     return grid, weights @ np.log1p(distinct[:, None] * grid[None, :])
@@ -373,7 +366,6 @@ def estimate_growth_rate(
     rho1,
     observables,
     kind,
-    grid_size: int = GROWTH_GRID_SIZE,
     shots: int = GROWTH_SHOTS,
     rng=None,
     slack=None,
@@ -384,8 +376,6 @@ def estimate_growth_rate(
     Uses the exact outcome distribution whenever the ensemble/width pair
     is enumerable, Monte Carlo with ``shots`` draws otherwise.
     """
-    if grid_size < 1:
-        raise ValueError("growth grid must be nonempty")
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots!r}")
     if len(observables) == 0:
@@ -405,11 +395,11 @@ def estimate_growth_rate(
 
     n = len(observables)
     if enumerable:
-        return growth_estimate(growth_curve(probs, values[:, i], intervals[i], grid_size)
+        return growth_estimate(growth_curve(probs, values[:, i], intervals[i])
                                for i in range(n))
-    grids = [_growth_grid(iv, grid_size) for iv in intervals]
+    grids = [_growth_grid(iv) for iv in intervals]
     rng = np.random.default_rng(rng)
-    sums = [np.zeros(grid_size) for _ in range(n)]
+    sums = [np.zeros(GROWTH_GRID_SIZE) for _ in range(n)]
     done = 0
     while done < shots:
         take = min(_MC_CHUNK, shots - done)

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -176,29 +177,38 @@ def _cmd_validate(args):
     rng = np.random.default_rng(20240817)
     failures = 0
 
-    def check(name, ok):
+    def check(name, run, *inputs):
+        """Print one PASS/FAIL line.  ``run(*inputs)`` returns (detail, ok), the
+        detail completing the line after ``name``; a check that raises fails
+        with the error as its detail and its traceback on stderr."""
         nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        try:
+            detail, ok = run(*inputs)
+        except Exception as exc:
+            traceback.print_exc()
+            detail, ok = f": {exc}", False
+        print(f"{'PASS' if ok else 'FAIL'}  {name}{detail}")
         if not ok:
             failures += 1
 
     # measurement channel reproduces the per-qubit depolarizing map exactly
-    for d in (1, 2):
+    def local_channel(d):
         rho = qcore.make_theta_state(d, -0.37)
         out = shadows.exact_channel_apply(rho, "local")
-        target = _exact_local_channel(rho.mat, d)
-        err = float(np.abs(out - target).max())
-        check(f"local channel enumeration d={d} (err {err:.2e})", err <= 1e-10)
+        err = float(np.abs(out - _exact_local_channel(rho.mat, d)).max())
+        return f" (err {err:.2e})", err <= 1e-10
+
     # the Clifford ensemble depolarizes, rho -> (rho + I) / (2^d + 1), and its
     # exact tables run over the stabilizer states a Clifford measures
-    for d in (1, 2, 3):
+    def joint_channel(d):
         rho = qcore.make_theta_state(d, 0.61)
         out = shadows.exact_channel_apply(rho, "joint")
         err = float(np.abs(out - (rho.mat + np.eye(2**d)) / (2**d + 1.0)).max())
-        check(f"joint channel on stabilizer states d={d} (err {err:.2e})", err <= 1e-10)
+        return f" (err {err:.2e})", err <= 1e-10
+
     # ... and those states are exactly the Clifford group's measured states,
     # each with the summed weight of the Clifford atoms that measure it
-    for d in (1, 2):
+    def stabilizer_table(d):
         group = shadows.clifford_group(d)
         table = shadows.stabilizer_bases(d).conj().reshape(-1, 2**d)
         atom_row = _fold_onto(group.conj().reshape(-1, 2**d), table)
@@ -209,26 +219,34 @@ def _cmd_validate(args):
         folded = np.bincount(atom_row + 1, weights=atom_probs, minlength=len(table) + 1)[1:]
         err = float(np.abs(shadows.outcome_probabilities(rho, "joint") - folded).max())
         ok = hits[0] == 0 and (hits[1:] == hits[1]).all() and err <= 1e-15
-        check(f"stabilizer table d={d} equals the folded enumeration of {len(group)} "
-              f"Cliffords (weight err {err:.2e})", ok)
+        return (f" equals the folded enumeration of {len(group)} Cliffords "
+                f"(weight err {err:.2e})", ok)
 
     # estimates always inside exhaustive bounds
-    obs = qcore.rotated_observable(2, 0.0)
-    bounds = shadows.estimator_bounds(obs, "local", mode="exhaustive")
-    rho2 = qcore.make_theta_state(2, 0.4)
-    worst = 0.0
-    for _ in range(2000):
-        o = shadows.sample_estimates(rho2, [obs], "local", rng)[0]
-        worst = max(worst, bounds.lower - o, o - bounds.upper)
-    check(f"estimates within exhaustive bounds (excess {worst:.2e})", worst <= 0.0)
+    def estimates_in_bounds():
+        obs = qcore.rotated_observable(2, 0.0)
+        lower, upper = shadows.estimator_bounds(obs, "local", mode="exhaustive")
+        rho2 = qcore.make_theta_state(2, 0.4)
+        worst = 0.0
+        for _ in range(2000):
+            o = shadows.sample_estimates(rho2, [obs], "local", rng)[0]
+            worst = max(worst, lower - o, o - upper)
+        return f" (excess {worst:.2e})", worst <= 0.0
 
-    # covering intervals
-    ok = all(
-        len(betting.covering_intervals(t)) == int(math.floor(math.log2(t))) + 1
-        for t in range(1, 10_001)
-    )
-    check("covering-interval cardinality up to 10^4", ok)
+    def covering_intervals():
+        return "", all(
+            len(betting.covering_intervals(t)) == int(math.floor(math.log2(t))) + 1
+            for t in range(1, 10_001)
+        )
 
+    for d in (1, 2):
+        check(f"local channel enumeration d={d}", local_channel, d)
+    for d in (1, 2, 3):
+        check(f"joint channel on stabilizer states d={d}", joint_channel, d)
+    for d in (1, 2):
+        check(f"stabilizer table d={d}", stabilizer_table, d)
+    check("estimates within exhaustive bounds", estimates_in_bounds)
+    check("covering-interval cardinality up to 10^4", covering_intervals)
     return 1 if failures else 0
 
 

@@ -420,8 +420,8 @@ class ScenarioRuntime:
             if mode == "exhaustive":
                 self.o_bounds = value_range(values)
             else:
-                bounds = [estimator_bounds(o, sc.ensemble, mode=mode) for o in self.observables]
-                self.o_bounds = [(b.lower, b.upper) for b in bounds]
+                self.o_bounds = [estimator_bounds(o, sc.ensemble, mode=mode)
+                                 for o in self.observables]
             if enumerable:
                 self.pre_sampler = _TableSampler(
                     outcome_probabilities(self.pre_state, sc.ensemble), values)

@@ -37,11 +37,12 @@ v_r = 2^-r / sqrt(2^-r) and 2^r the support size of U|0...0>, so an entry
 is a table lookup and carries the bits a floating-point projector lift
 would compute exactly.  The stabilizer-state table takes its entries from
 the same lookup, so a state gets the same estimate bits from the table as
-from any Clifford that measures it.  The full group at d <= 2 is the
-sign-free lifts times their Pauli sign variants; it stays as the oracle
-that the folded stabilizer table is checked against.  The construction is
-validated by the exact depolarizing-channel identity, which this module
-can also evaluate by full enumeration for small registers.
+from any Clifford that measures it.  Sp(2d, 2) is held in one form only,
+its rows as bit-packed integers, and a tableau has one lift, ``_lift``.
+``clifford_group`` applies that lift to every tableau at d <= 2 and stays
+as the oracle that the folded stabilizer table is checked against.  The construction is validated by the exact depolarizing-channel
+identity, which this module can also evaluate by full enumeration for
+small registers.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,6 @@ from .qcore import (
     HADAMARD,
     MAX_QUBITS,
     PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PHASE_S,
     bits_to_index,
     born_probabilities,
@@ -81,19 +78,6 @@ MAX_JOINT_QUBITS = 6
 #: largest register whose outcome tables are enumerated: 6^d local Pauli
 #: eigenstate atoms, or N_d joint stabilizer states (1080 at d = 3)
 MAX_ENUM = 3
-
-
-@dataclass(frozen=True)
-class EstimatorBounds:
-    """Deterministic range [lower, upper] of the single-shot estimate."""
-
-    lower: float
-    upper: float
-    mode: str
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError(f"degenerate bounds ({self.lower}, {self.upper})")
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +130,6 @@ def _symplectic_rows_from_levels(levels):
     return rows
 
 
-def _rows_to_matrix(rows, nn):
-    # bit b of packed row j becomes entry [j, b]
-    return (np.array(rows, dtype=np.int64)[:, None] >> np.arange(nn)) & 1
-
-
 def _draw_levels(d, rng):
     return [(int(rng.integers(1, 4**m)), int(rng.integers(0, 1 << (2 * m - 1))))
             for m in range(d, 0, -1)]
@@ -160,27 +139,6 @@ def _enumerate_levels(d):
     return itertools.product(*(
         [(k, b) for k in range(1, 4**m) for b in range(1 << (2 * m - 1))]
         for m in range(d, 0, -1)))
-
-
-def sample_symplectic(d, rng):
-    """Uniformly random element of Sp(2d, 2), rows are generator images."""
-    return _rows_to_matrix(_symplectic_rows_from_levels(_draw_levels(d, rng)), 2 * d)
-
-
-def enumerate_symplectic(d):
-    """Iterate every element of Sp(2d, 2); practical for d <= 2."""
-    for levels in _enumerate_levels(d):
-        yield _rows_to_matrix(_symplectic_rows_from_levels(levels), 2 * d)
-
-
-_VEC_PAULI = {(0, 0): PAULI_I, (1, 0): PAULI_X, (0, 1): PAULI_Z, (1, 1): PAULI_Y}
-
-
-def _pauli_from_vec(vec, sign_bit):
-    d = vec.size // 2
-    mats = [_VEC_PAULI[(int(vec[2 * k]), int(vec[2 * k + 1]))] for k in range(d)]
-    out = kron_all(mats)
-    return -out if sign_bit else out
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +242,19 @@ def _frame(rows, signs, d):
 
 
 def _lift_codes(xc, zc, ec, psi):
-    """Entry codes of a stack of lifts from their frames, each of shape (n, dim).
+    """Entry codes of one lift from its frame, arrays of length dim.
 
     Entry [x, c] is <x| (xc, zc, ec)[c] |psi>: the phase of the column's
     frame on the basis state x ^ xc[c] plus psi there.
     """
-    idx = np.arange(xc.shape[1])
-    y = idx[:, None] ^ xc[:, None, :]
-    batch = np.arange(len(xc))[:, None, None]
-    return (ec & 3)[:, None, :] + _PARITY2[y & zc[:, None, :]] + psi[batch, y]
+    y = np.arange(len(xc))[:, None] ^ xc
+    return (ec & 3) + _PARITY2[y & zc] + psi[y]
 
 
 def _lift(rows, signs, d):
     """Dense unitary of one tableau, packed rows and sign bits as in ``_frame``."""
     xc, zc, ec, psi, r = _frame(rows, signs, d)
-    return _LIFT_VALUES[r][_lift_codes(*np.array([[xc], [zc], [ec], [psi]]))[0]]
+    return _LIFT_VALUES[r][_lift_codes(np.array(xc), np.array(zc), np.array(ec), np.array(psi))]
 
 
 def sample_clifford_unitary(d, rng):
@@ -310,47 +266,24 @@ def sample_clifford_unitary(d, rng):
 #: largest register whose full Clifford group ``clifford_group`` materializes
 MAX_ENUM_JOINT = 2
 
-_CLIFFORD_GROUPS = {}
 
-
+@functools.lru_cache(maxsize=None)
 def clifford_group(d):
-    """All d-qubit Clifford unitaries mod phase (cached, fixed order).
+    """All d-qubit Clifford unitaries mod phase (cached, read-only, fixed order).
 
-    |Sp(2d, 2)| * 4**d matrices: 24 at d=1, 11520 at d=2, in the order of
-    ``enumerate_symplectic`` times the sign vectors of
-    ``itertools.product((0, 1), repeat=2d)``.  Each symplectic element is
-    lifted once without signs, as U_0; its sign variant is U_0 X^a Z^b up
-    to a phase, with a the flips of the Z images and b those of the X
-    images, so a variant permutes and re-phases the columns of U_0's
-    frame.  Higher d is refused because the group size grows too fast to
-    materialize.
+    |Sp(2d, 2)| * 4**d matrices: 24 at d=1, 11520 at d=2.  Every tableau
+    is lifted by ``_lift``: the symplectic elements in ``_enumerate_levels``
+    order, each with the sign vectors of ``itertools.product((0, 1),
+    repeat=2d)``.  Higher d is refused because the group size grows too
+    fast to materialize.
     """
     if not 1 <= d <= MAX_ENUM_JOINT:
         raise ValueError(f"clifford_group supports 1 <= d <= {MAX_ENUM_JOINT}")
-    if d not in _CLIFFORD_GROUPS:
-        zeros = [0] * (2 * d)
-        frames = [_frame(_symplectic_rows_from_levels(levels), zeros, d)
-                  for levels in _enumerate_levels(d)]
-        xc, zc, ec, psi, r = (np.array(part) for part in zip(*frames))
-        codes = _lift_codes(xc, zc, ec, psi)
-        # a variant with Z flips a starts with U_0's column a; rephase turns the
-        # entry at that column's first support row onto the positive reals
-        first = (codes < _OFF).argmax(axis=1)
-        rephase = -np.take_along_axis(codes, first[:, None, :], axis=1)[:, 0, :]
-        signs = np.array(list(itertools.product((0, 1), repeat=2 * d)))
-        place = 1 << np.arange(d - 1, -1, -1)
-        flips_z, flips_x = signs[:, 1::2] @ place, signs[:, 0::2] @ place
-        idx = np.arange(1 << d)
-        cols = idx ^ flips_z[:, None]
-        # variant columns c read U_0's column c ^ a, with sign (-1)^popcount(c & b)
-        ec = ec[:, cols] + _PARITY2[idx & flips_x[:, None]] + rephase[:, flips_z][:, :, None]
-        n_var = len(signs)
-        codes = _lift_codes(xc[:, cols].reshape(-1, 1 << d), zc[:, cols].reshape(-1, 1 << d),
-                            ec.reshape(-1, 1 << d), np.repeat(psi, n_var, axis=0))
-        group = _LIFT_VALUES[np.repeat(r, n_var)[:, None, None], codes]
-        group.flags.writeable = False
-        _CLIFFORD_GROUPS[d] = group
-    return _CLIFFORD_GROUPS[d]
+    tableaux = [_symplectic_rows_from_levels(levels) for levels in _enumerate_levels(d)]
+    group = np.array([_lift(rows, signs, d) for rows in tableaux
+                      for signs in itertools.product((0, 1), repeat=2 * d)])
+    group.flags.writeable = False
+    return group
 
 
 def _subspace_spans(d, k):
@@ -500,7 +433,8 @@ def _estimates(kind, states, observables):
 
 
 def estimator_bounds(obs, kind, mode="analytic"):
-    """Range of the single-shot estimate for one observable and ensemble.
+    """(lower, upper) range of the single-shot estimate for one observable
+    and ensemble, as a float pair.
 
     ``analytic`` uses closed-form bounds: +-3^{|support|} ||O||_inf for the
     local ensemble and (2^d + 1) eig_minmax(O) - Tr(O) for the joint one.
@@ -513,17 +447,13 @@ def estimator_bounds(obs, kind, mode="analytic"):
     if mode == "analytic":
         if kind == "local":
             r = (3.0 ** len(obs.support)) * obs.op_norm
-            return EstimatorBounds(lower=-r, upper=r, mode=mode)
-        dim = obs.dim
-        return EstimatorBounds(
-            lower=(dim + 1.0) * obs.eigmin - obs.trace,
-            upper=(dim + 1.0) * obs.eigmax - obs.trace,
-            mode=mode,
-        )
+            return -r, r
+        scale = obs.dim + 1.0
+        return scale * obs.eigmin - obs.trace, scale * obs.eigmax - obs.trace
     if mode != "exhaustive":
         raise ValueError(f"unknown bounds mode {mode!r}")
-    (lower, upper), = value_range(outcome_values([obs], kind, obs.n_qubits))
-    return EstimatorBounds(lower=lower, upper=upper, mode=mode)
+    (bounds,) = value_range(outcome_values([obs], kind, obs.n_qubits))
+    return bounds
 
 
 def value_range(values):

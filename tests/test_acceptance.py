@@ -109,22 +109,22 @@ def test_criterion_02_unbiasedness_and_range():
             probs, values = sh.outcome_distribution(rho, [obs], kind)
             vals = values[:, 0]
             draws = rng.choice(vals, size=n_shots, p=probs)
-            b = sh.estimator_bounds(obs, kind, mode="exhaustive")
-            tol = 4.0 * (b.upper - b.lower) / math.sqrt(n_shots)
+            lower, upper = sh.estimator_bounds(obs, kind, mode="exhaustive")
+            tol = 4.0 * (upper - lower) / math.sqrt(n_shots)
             worst_dev = max(worst_dev, abs(float(draws.mean()) - truth) / tol)
             more = rng.choice(vals, size=per_combo, p=probs)
-            a = sh.estimator_bounds(obs, kind, mode="analytic")
-            violations += int(((more < a.lower - 1e-12) | (more > a.upper + 1e-12)).sum())
+            lower, upper = sh.estimator_bounds(obs, kind, mode="analytic")
+            violations += int(((more < lower - 1e-12) | (more > upper + 1e-12)).sum())
     # small direct tranche through the full sampling pipeline
     for rho, obs in pairs[:2]:
         for kind in ("local", "joint"):
             draws = np.array([sh.sample_estimates(rho, [obs], kind, rng)[0]
                               for _ in range(2000)])
-            b = sh.estimator_bounds(obs, kind, mode="exhaustive")
-            tol = 4.0 * (b.upper - b.lower) / math.sqrt(2000)
+            lower, upper = sh.estimator_bounds(obs, kind, mode="exhaustive")
+            tol = 4.0 * (upper - lower) / math.sqrt(2000)
             worst_dev = max(worst_dev, abs(float(draws.mean()) - qc.expectation(rho, obs)) / tol)
-            a = sh.estimator_bounds(obs, kind, mode="analytic")
-            violations += int(((draws < a.lower - 1e-12) | (draws > a.upper + 1e-12)).sum())
+            lower, upper = sh.estimator_bounds(obs, kind, mode="analytic")
+            violations += int(((draws < lower - 1e-12) | (draws > upper + 1e-12)).sum())
     dt = time.perf_counter() - t0
     ok = worst_dev <= 1.0 and violations == 0 and dt < 60.0
     check(2, ok, f"worst mean deviation {worst_dev:.2f} of tolerance, "

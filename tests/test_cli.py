@@ -1,11 +1,15 @@
 """Command-line behavior: subcommands, exit codes, emitted formats."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from shadowcpd import betting as bt
 from shadowcpd import cli, harness as hz
+from shadowcpd import qcore as qc
+from shadowcpd import shadows as sh
 
 
 BASE = {
@@ -333,6 +337,24 @@ def test_growth_requires_finite_changepoint(tmp_path, capsys):
     assert "changepoint" in err
 
 
+def test_growth_monte_carlo_is_seeded(tmp_path, capsys):
+    # local d=4 is past enumeration: growth draws --shots estimates from --seed
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps(dict(BASE, d=4)), encoding="utf-8")
+    outs = []
+    for _ in range(2):
+        rc = cli.main(["growth", "--scenario", str(path), "--shots", "2000", "--seed", "3"])
+        assert rc == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    sc = hz.Scenario.from_dict(dict(BASE, d=4))
+    est = bt.estimate_growth_rate(qc.make_theta_state(4, BASE["theta1"]),
+                                  hz.build_observables(sc), "local", shots=2000, rng=3,
+                                  slack=None, bounds_mode="analytic")
+    want = json.dumps(hz._normalize_floats(dataclasses.asdict(est)), indent=2) + "\n"
+    assert outs[0] == want
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -346,3 +368,14 @@ def test_validate_passes(capsys):
     for d in (1, 2, 3):
         assert f"PASS  joint channel on stabilizer states d={d} " in out
     assert "PASS  stabilizer table d=2 equals the folded enumeration of 11520 Cliffords" in out
+
+
+def test_validate_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    # a table whose states are not normalized makes the Born sum check raise
+    table = sh.stabilizer_bases
+    monkeypatch.setattr(sh, "stabilizer_bases", lambda d: 1.1 * table(d))
+    rc = cli.main(["validate"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL  joint channel") for line in lines)
+    assert any(line.startswith("PASS  covering-interval") for line in lines)

@@ -51,33 +51,6 @@ def depolarize_one_qubit(mat, k, d):
 # symplectic layer
 
 
-def test_symplectic_enumeration_sizes():
-    assert len(list(sh.enumerate_symplectic(1))) == 6
-    assert len(list(sh.enumerate_symplectic(2))) == 720
-
-
-def test_symplectic_elements_distinct_and_valid():
-    for d in (1, 2):
-        seen = set()
-        for g in sh.enumerate_symplectic(d):
-            assert is_symplectic(g, d)
-            seen.add(g.tobytes())
-        assert len(seen) == (6, 720)[d - 1]
-
-
-def test_sample_symplectic_hits_whole_group_at_d1():
-    rng = np.random.default_rng(0)
-    seen = {sh.sample_symplectic(1, rng).tobytes() for _ in range(200)}
-    assert len(seen) == 6
-
-
-def test_sample_symplectic_valid_at_larger_d():
-    rng = np.random.default_rng(1)
-    for d in (2, 3, 4):
-        for _ in range(10):
-            assert is_symplectic(sh.sample_symplectic(d, rng), d)
-
-
 def bit_loop_matrix(rows, nn):
     # entry [j, b] is bit b of packed row j, one bit at a time
     g = np.zeros((nn, nn), dtype=np.int64)
@@ -87,21 +60,39 @@ def bit_loop_matrix(rows, nn):
     return g
 
 
-def test_symplectic_matrices_match_bit_loop():
-    for d in range(1, 7):
-        draw, replay = np.random.default_rng(d), np.random.default_rng(d)
-        for _ in range(20):
-            # the same (k, bits) draws sample_symplectic makes
-            levels = [(int(replay.integers(1, 4**m)), int(replay.integers(0, 1 << (2 * m - 1))))
-                      for m in range(d, 0, -1)]
-            want = bit_loop_matrix(sh._symplectic_rows_from_levels(levels), 2 * d)
-            got = sh.sample_symplectic(d, draw)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-    ranges = [[(k, b) for k in range(1, 4**m) for b in range(1 << (2 * m - 1))]
-              for m in (2, 1)]
-    for combo, got in zip(itertools.product(*ranges), sh.enumerate_symplectic(2)):
-        want = bit_loop_matrix(sh._symplectic_rows_from_levels(list(combo)), 4)
-        assert np.array_equal(got, want)
+def enumerated_rows(d):
+    return [sh._symplectic_rows_from_levels(levels) for levels in sh._enumerate_levels(d)]
+
+
+def sampled_rows(d, rng):
+    return sh._symplectic_rows_from_levels(sh._draw_levels(d, rng))
+
+
+def test_symplectic_enumeration_sizes():
+    assert len(enumerated_rows(1)) == 6
+    assert len(enumerated_rows(2)) == 720
+
+
+def test_symplectic_elements_distinct_and_valid():
+    for d in (1, 2):
+        seen = set()
+        for rows in enumerated_rows(d):
+            assert is_symplectic(bit_loop_matrix(rows, 2 * d), d)
+            seen.add(tuple(rows))
+        assert len(seen) == (6, 720)[d - 1]
+
+
+def test_sample_symplectic_hits_whole_group_at_d1():
+    rng = np.random.default_rng(0)
+    seen = {tuple(sampled_rows(1, rng)) for _ in range(200)}
+    assert len(seen) == 6
+
+
+def test_sample_symplectic_valid_at_larger_d():
+    rng = np.random.default_rng(1)
+    for d in (2, 3, 4):
+        for _ in range(10):
+            assert is_symplectic(bit_loop_matrix(sampled_rows(d, rng), 2 * d), d)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +260,7 @@ def test_sampled_unitaries_match_float_reference():
 
 def test_clifford_group_matches_float_reference():
     for d in (1, 2):
-        symps = np.array(list(sh.enumerate_symplectic(d)))
+        symps = np.array([bit_loop_matrix(rows, 2 * d) for rows in enumerated_rows(d)])
         signs = np.array(list(itertools.product((0, 1), repeat=2 * d)))
         want = ref_clifford_unitaries(np.repeat(symps, len(signs), axis=0),
                                       np.tile(signs, (len(symps), 1)))
@@ -279,13 +270,6 @@ def test_clifford_group_matches_float_reference():
 
 # ---------------------------------------------------------------------------
 # tableau lift
-
-
-def lift(symp, signs):
-    # one tableau given as a bit matrix, through the packed-row lift
-    symp = np.asarray(symp, dtype=np.int64)
-    rows = (symp << np.arange(symp.shape[1])).sum(axis=1).tolist()
-    return sh._lift(rows, np.asarray(signs).tolist(), len(rows) // 2)
 
 
 def test_clifford_group_sizes_and_unitarity():
@@ -316,46 +300,36 @@ def test_clifford_group_rejects_large_d():
         sh.clifford_group(3)
 
 
-def test_clifford_group_matches_one_tableau_lift():
-    # the group is lifted from sign-free frames and their sign variants;
-    # each element must equal the lift of its own tableau, in
-    # enumerate_symplectic x sign order
-    for d in (1, 2):
-        group = sh.clifford_group(d)
-        tableaux = [(symp, np.array(signs)) for symp in sh.enumerate_symplectic(d)
-                    for signs in itertools.product((0, 1), repeat=2 * d)]
-        assert len(group) == len(tableaux)
-        for u, (symp, signs) in zip(group, tableaux):
-            assert np.array_equal(u, lift(symp, signs))
-
-
 def test_lifted_unitaries_permute_paulis():
     # a Clifford must map each Pauli to a signed Pauli; check U P U^dag for
     # sampled tableaus against the tableau's own row prescription
     rng = np.random.default_rng(9)
     for d in range(1, 7):
         for _ in range(3):
-            symp = sh.sample_symplectic(d, rng)
+            rows = sampled_rows(d, rng)
             sign = rng.integers(0, 2, size=2 * d)
-            u = lift(symp, sign)
+            u = sh._lift(rows, sign.tolist(), d)
             for k in range(d):
                 for row, letter in ((2 * k, "X"), (2 * k + 1, "Z")):
                     letters = ["I"] * d
                     letters[k] = letter
                     src = qc.pauli_string("".join(letters)).mat
                     image = u @ src @ u.conj().T
-                    want = sh._pauli_from_vec(symp[row], sign[row])
+                    # packed row: bit 2j is the X part on qubit j, bit 2j+1 the Z part
+                    image_letters = "".join("IXZY"[(rows[row] >> (2 * j)) & 3] for j in range(d))
+                    want = (-1) ** sign[row] * qc.pauli_string(image_letters).mat
                     assert np.allclose(image, want, atol=1e-9)
 
 
 def test_lift_rejects_tableau_without_stabilizer_state():
-    # both Z images equal Z_0, so they fix no single state
-    symp = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]])
+    # packed rows X_0, Z_0, X_1, Z_0: both Z images equal Z_0, so they fix
+    # no single state
+    rows = [1, 2, 4, 2]
     with pytest.raises(ValueError, match="stabilizer state"):
-        lift(symp, [0, 0, 0, 0])
+        sh._lift(rows, [0, 0, 0, 0], 2)
     # Z_0 and -Z_0 would fix nothing at all
     with pytest.raises(ValueError, match="stabilizer state"):
-        lift(symp, [0, 0, 0, 1])
+        sh._lift(rows, [0, 0, 0, 1], 2)
 
 
 def test_sample_clifford_unitary_is_unitary():
@@ -457,34 +431,28 @@ def test_sample_estimates_match_per_atom_reference(kind, d):
 
 def test_analytic_bounds_closed_forms():
     x = qc.pauli_string("X")
-    b = sh.estimator_bounds(x, "local")
-    assert (b.lower, b.upper) == (-3.0, 3.0)
+    assert sh.estimator_bounds(x, "local") == (-3.0, 3.0)
     xx = qc.pauli_string("XX")
-    b = sh.estimator_bounds(xx, "local")
-    assert (b.lower, b.upper) == (-9.0, 9.0)
+    assert sh.estimator_bounds(xx, "local") == (-9.0, 9.0)
     xi = qc.pauli_string("XI")
-    b = sh.estimator_bounds(xi, "local")  # support size 1
-    assert (b.lower, b.upper) == (-3.0, 3.0)
-    b = sh.estimator_bounds(x, "joint")
-    assert (b.lower, b.upper) == (-3.0, 3.0)
-    b = sh.estimator_bounds(xx, "joint")
-    assert (b.lower, b.upper) == (-5.0, 5.0)
+    assert sh.estimator_bounds(xi, "local") == (-3.0, 3.0)  # support size 1
+    assert sh.estimator_bounds(x, "joint") == (-3.0, 3.0)
+    assert sh.estimator_bounds(xx, "joint") == (-5.0, 5.0)
 
 
 def test_exhaustive_bounds_contained_in_analytic():
     rng = np.random.default_rng(41)
     for kind, d in (("local", 1), ("local", 2), ("joint", 1), ("joint", 2)):
         obs = qc.pauli_string(random_pauli_letters(rng, d))
-        a = sh.estimator_bounds(obs, kind, mode="analytic")
-        e = sh.estimator_bounds(obs, kind, mode="exhaustive")
-        assert a.lower - 1e-9 <= e.lower <= e.upper <= a.upper + 1e-9
+        a_lower, a_upper = sh.estimator_bounds(obs, kind, mode="analytic")
+        e_lower, e_upper = sh.estimator_bounds(obs, kind, mode="exhaustive")
+        assert a_lower - 1e-9 <= e_lower <= e_upper <= a_upper + 1e-9
 
 
 def test_exhaustive_bounds_attained_for_pauli_strings():
-    b = sh.estimator_bounds(qc.pauli_string("X"), "local", mode="exhaustive")
-    assert b.lower == pytest.approx(-3.0) and b.upper == pytest.approx(3.0)
-    b = sh.estimator_bounds(qc.pauli_string("X"), "joint", mode="exhaustive")
-    assert b.lower == pytest.approx(-3.0) and b.upper == pytest.approx(3.0)
+    for kind in ("local", "joint"):
+        b = sh.estimator_bounds(qc.pauli_string("X"), kind, mode="exhaustive")
+        assert b == pytest.approx((-3.0, 3.0))
 
 
 def test_outcome_distribution_mean_and_support():
@@ -497,9 +465,9 @@ def test_outcome_distribution_mean_and_support():
         assert abs(probs.sum() - 1.0) < 1e-10
         mean = float(probs @ values[:, 0])
         assert abs(mean - qc.expectation(rho, obs)) < 1e-10
-        b = sh.estimator_bounds(obs, kind, mode="exhaustive")
-        assert values.min() >= b.lower - 1e-9
-        assert values.max() <= b.upper + 1e-9
+        lower, upper = sh.estimator_bounds(obs, kind, mode="exhaustive")
+        assert values.min() >= lower - 1e-9
+        assert values.max() <= upper + 1e-9
 
 
 def test_outcome_distribution_joint_two_qubits():
@@ -659,8 +627,8 @@ def test_sample_estimates_deterministic_and_in_bounds():
     rng = np.random.default_rng(78)
     for _ in range(300):
         est = sh.sample_estimates(rho, obs, "local", rng)
-        for j, bd in enumerate(bounds):
-            assert bd.lower - 1e-9 <= est[j] <= bd.upper + 1e-9
+        for j, (lower, upper) in enumerate(bounds):
+            assert lower - 1e-9 <= est[j] <= upper + 1e-9
 
 
 def test_monte_carlo_mean_tracks_expectation():
@@ -669,8 +637,8 @@ def test_monte_carlo_mean_tracks_expectation():
     obs = qc.pauli_string("YX")
     n = 4000
     draws = np.array([sh.sample_estimates(rho, [obs], "local", rng)[0] for _ in range(n)])
-    b = sh.estimator_bounds(obs, "local")
-    tol = 4.0 * (b.upper - b.lower) / np.sqrt(n)
+    lower, upper = sh.estimator_bounds(obs, "local")
+    tol = 4.0 * (upper - lower) / np.sqrt(n)
     assert abs(draws.mean() - qc.expectation(rho, obs)) < tol
 
 
