@@ -26,6 +26,11 @@ GROWTH_SHOTS = 100_000
 # fraction of the unslacked interval width pulled in from each end
 DEFAULT_SLACK_FRACTION = 0.005
 
+# steps of a full lookahead block; a power of two, so the block's
+# (steps, levels, grid) temporaries stay under glibc's 128 KiB mmap
+# threshold up to t = 2^15 at the default grid
+LOOKAHEAD_BLOCK = 16
+
 _MC_CHUNK = 4096
 
 
@@ -104,7 +109,7 @@ class ConstantBettor:
     def __init__(self, lam: float):
         self.lam = float(lam)
 
-    def step(self, o_prev=None) -> float:
+    def step(self, o_prev=None, ahead=None) -> float:
         return self.lam
 
 
@@ -145,6 +150,15 @@ class UPExpert:
         self.log_wealth += np.log1p(self.grid * o_hat)
 
 
+def lookahead_block(t: int) -> int:
+    """Steps of the lookahead block that starts at step t.
+
+    Blocks start at the powers of two below ``LOOKAHEAD_BLOCK`` and at its
+    multiples, so a block never crosses a power of two.
+    """
+    return min(t & -t, LOOKAHEAD_BLOCK)
+
+
 def covering_intervals(t: int):
     """The geometric intervals [i*2^k, (i+1)*2^k - 1], i >= 1, containing t."""
     if t < 1:
@@ -177,6 +191,7 @@ class CBCELayout:
     def __init__(self):
         self._orders = [()]  # no expert before the first step
         self._prior_sums = [0.0]
+        self._block_index = {}
 
     def at(self, t: int):
         """(levels in birth order, sum of their unnormalized priors)."""
@@ -189,6 +204,17 @@ class CBCELayout:
             priors = np.array([_interval_prior(starts[k]) for k in order])
             self._prior_sums.append(float(priors.sum()))
         return orders[t], self._prior_sums[t]
+
+    def block_index(self, t: int, count: int) -> np.ndarray:
+        """Rows of a (count, levels, k) block of level-ordered log-wealth,
+        flattened to (count * levels, k), that hold steps t .. t+count-1
+        in birth order; the block must not cross a power of two."""
+        index = self._block_index.get((t, count))
+        if index is None:
+            levels = t.bit_length()
+            index = np.array([j * levels + lv for j in range(count) for lv in self.at(t + j)[0]])
+            self._block_index[(t, count)] = index
+        return index
 
 
 class CBCEBettor:
@@ -205,6 +231,13 @@ class CBCEBettor:
 
     Call ``step(o_prev)`` once per time step, passing the estimate
     observed after the previous bet (absent only on the first call).
+    The experts bet from past estimates alone, so a caller that knows the
+    estimates ahead may pass ``ahead``, the ones its next ``len(ahead)``
+    calls will pass: the expert bets of those steps are then computed in
+    one pass, with the same bits.  Such a block of 1 + len(ahead) steps
+    holds at most ``LOOKAHEAD_BLOCK`` steps and may start at step t only
+    if it is no longer than the largest power of two that divides t, so it
+    never crosses a power of two.
     """
 
     def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE,
@@ -223,6 +256,11 @@ class CBCEBettor:
         self._beta = []
         self._lam = []
         self._backed = []
+        # the open lookahead block, steps start .. end-1: the expert bets
+        # (in birth order) and the estimates promised for its later steps
+        self._block_start = self._block_end = 0
+        self._block_bets = None
+        self._ahead = []
         self.last_lam = 0.0
         self.last_weights = np.zeros(0)
         self.loss_bound = self._loss_bound()
@@ -248,7 +286,7 @@ class CBCEBettor:
         t = self.t - 1
         return [((t >> k) << k, (((t >> k) + 1) << k) - 1) for k in self.layout.at(t)[0]]
 
-    def step(self, o_prev=None) -> float:
+    def step(self, o_prev=None, ahead=None) -> float:
         t = self.t
         if t == 1:
             if o_prev is not None:
@@ -257,6 +295,7 @@ class CBCEBettor:
             raise ValueError(f"step {t} needs the estimate observed at step {t - 1}")
         levels = t.bit_length()
         born = (t & -t).bit_length()  # levels 0 .. born-1 start at t
+        in_block = t < self._block_end
         if born == levels:
             # t is a power of two: every expert restarts and one level opens
             self._log_wealth = np.zeros((levels, self.k))
@@ -265,13 +304,24 @@ class CBCEBettor:
                 state.append(None)
         if o_prev is not None:
             o_hat = float(o_prev)
-            _check_estimate(o_hat, self.o_bounds)
+            if not in_block:
+                _check_estimate(o_hat, self.o_bounds)
+            elif o_hat != self._ahead[t - self._block_start - 1]:
+                raise ValueError(f"step {t} got {o_hat!r}, not the estimate passed ahead")
             meta_loss = -math.log1p(self.last_lam * o_hat)
+        order, prior_sum = self.layout.at(t)
+        if in_block:
+            if ahead is not None:
+                raise ValueError(f"step {t} lies inside the lookahead block opened at "
+                                 f"step {self._block_start}")
+            lams_arr = self._block_bets[t - self._block_start - 1]
+        else:
             if born < levels:
                 self._log_wealth[born:] += np.log1p(self.grid * o_hat)
                 self._log_wealth[:born] = 0.0
-        order, prior_sum = self.layout.at(t)
-        lams_arr = _up_bets(self._log_wealth.take(order, axis=0), self.grid)
+            lams_arr = _up_bets(self._log_wealth.take(order, axis=0), self.grid)
+            if ahead is not None and len(ahead):
+                self._look_ahead(ahead, levels)
         lams = lams_arr.tolist()
         prior, sum_g, wealth = self._prior, self._sum_g, self._wealth
         beta, lam, backed = self._beta, self._lam, self._backed
@@ -312,6 +362,40 @@ class CBCEBettor:
         self.last_lam = self.interval.clip(float(weights @ lams_arr))
         self.t = t + 1
         return self.last_lam
+
+    def _look_ahead(self, ahead, levels: int) -> None:
+        """Expert bets of the len(ahead) steps after this one, in birth
+        order, from the estimates they will absorb.
+
+        Their log-wealth rows are built level-ordered by the per-step
+        in-place add: the row of step t + s adds the increment of
+        ahead[s - 1] to the row of step t + s - 1 on the levels that do not
+        restart at t + s; the restarting entries stay 0.0.
+        """
+        t = self.t
+        count = len(ahead)
+        if count >= lookahead_block(t):
+            raise ValueError(f"a lookahead block of {count + 1} steps cannot start at step {t}")
+        ahead = np.asarray(ahead, dtype=float)
+        lower, upper = self.o_bounds
+        if not (lower - 1e-9 <= ahead.min() and ahead.max() <= upper + 1e-9):
+            for o in ahead.tolist():
+                _check_estimate(o, self.o_bounds)
+        rows = np.zeros((count, levels, self.k))
+        incs = np.log1p(self.grid * ahead[:, None])
+        prev = self._log_wealth
+        for s, inc, row in zip(range(1, count + 1), incs, rows):
+            # t is a multiple of a power of two above s, so the levels
+            # below (s & -s).bit_length() restart at step t + s
+            live = (s & -s).bit_length()
+            np.add(prev[live:], inc, out=row[live:])
+            prev = row
+        birth_rows = rows.reshape(-1, self.k).take(self.layout.block_index(t + 1, count), axis=0)
+        self._block_bets = _up_bets(birth_rows.reshape(count, levels, self.k), self.grid)
+        self._log_wealth = rows[-1]
+        self._ahead = ahead.tolist()
+        self._block_start = t
+        self._block_end = t + 1 + count
 
 
 @dataclass(frozen=True)

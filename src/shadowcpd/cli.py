@@ -121,14 +121,20 @@ def _cmd_sweep(args):
         "delay_q10", "delay_q25", "delay_q50", "delay_q75", "delay_q90",
         "false_alarm_fraction", "censored_fraction", "d_star_reference",
     ]
-    lines = [",".join(header)]
+    # every value is checked, down to its runtime (bounds, bet intervals),
+    # before any is run
+    scenarios = []
     for value in values:
         data = harness._copy_jsonish(base)
         _set_path(data, args.param, value)
         try:
             scenario = harness.Scenario.from_dict(data)
+            harness.ScenarioRuntime(scenario)
         except harness.ScenarioError as exc:
             raise SystemExit2(f"sweep value {value!r}: {exc}")
+        scenarios.append(scenario)
+    lines = [",".join(header)]
+    for value, scenario in zip(values, scenarios):
         results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism)
         stats = harness.summarize(results, scenario)
         qs = stats.delay_quantiles or {}

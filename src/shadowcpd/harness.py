@@ -29,6 +29,7 @@ from .betting import (
     growth_curve,
     growth_estimate,
     lambda_interval,
+    lookahead_block,
 )
 from .edetect import CUSUM, DetectorConfig, SR, SequentialDetector, uniform_weights
 from .matched import ProjectiveMeasurement, UCBStats, UCB_DEFAULT_DELTA, select_index
@@ -358,21 +359,24 @@ class _TableSampler:
         self.cum = cum
         self.values = values
 
-    def draw(self, rng):
+    def draw(self, rng, count):
+        """``count`` rows from one block of uniforms, which consumes the
+        stream as ``count`` single draws do."""
         # cum ends at exactly 1.0 and rng.random() < 1, so the index is in range
-        return self.values[int(np.searchsorted(self.cum, rng.random(), side="right"))]
+        return self.values[np.searchsorted(self.cum, rng.random(count), side="right")]
 
 
 class _DirectSampler:
-    """Fresh shadow measurement per draw; for non-enumerable configurations."""
+    """Fresh shadow measurement per drawn row; for non-enumerable configurations."""
 
     def __init__(self, rho, observables, kind):
         self.rho = rho
         self.observables = observables
         self.kind = kind
 
-    def draw(self, rng):
-        return sample_estimates(self.rho, self.observables, self.kind, rng)
+    def draw(self, rng, count):
+        return np.array([sample_estimates(self.rho, self.observables, self.kind, rng)
+                         for _ in range(count)])
 
 
 class _EigenTable(_TableSampler):
@@ -503,6 +507,17 @@ def derive_seed(master_seed: int, run_index: int) -> int:
     return splitmix64((master_seed + (run_index + 1) * _GOLDEN) & _MASK64)
 
 
+def _draw_estimates(rt: ScenarioRuntime, nu, rng, t: int, count: int) -> np.ndarray:
+    """Estimate rows of steps t .. t+count-1.  A block that contains the
+    changepoint is drawn as its pre- and post-change parts, in step order."""
+    pre = count if nu is None else min(max(nu - t, 0), count)
+    if pre == count:
+        return rt.pre_sampler.draw(rng, count)
+    if pre == 0:
+        return rt.post_sampler.draw(rng, count)
+    return np.concatenate([rt.pre_sampler.draw(rng, pre), rt.post_sampler.draw(rng, count - pre)])
+
+
 def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
               runtime: ScenarioRuntime | None = None) -> TrialResult:
     """One full detection run; deterministic in (scenario, seed)."""
@@ -515,16 +530,23 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
 
     if sc.policy == "escd":
         bettors = [rt.make_bettor(i) for i in range(n)]
+        # estimates do not depend on the bets: they are drawn a block at a
+        # time, and each bettor gets the block's later estimates ahead
+        no_ahead = (None,) * n
         prev = [None] * n
-        for t in range(1, sc.run_cap + 1):
-            post = sc.nu is not None and t >= sc.nu
-            sampler = rt.post_sampler if post else rt.pre_sampler
-            lams = [bettor.step(o) for bettor, o in zip(bettors, prev)]
-            ests = sampler.draw(rng).tolist()
-            if detector.advance([1.0 + lam * o for lam, o in zip(lams, ests)]):
-                stop_at = t
-                break
-            prev = ests
+        t = 1
+        while stop_at is None and t <= sc.run_cap:
+            count = min(lookahead_block(t), sc.run_cap + 1 - t)
+            block = _draw_estimates(rt, sc.nu, rng, t, count)
+            ahead = block[:-1].T
+            for ests in block.tolist():
+                lams = [bettor.step(o, a) for bettor, o, a in zip(bettors, prev, ahead)]
+                ahead = no_ahead
+                if detector.advance([1.0 + lam * o for lam, o in zip(lams, ests)]):
+                    stop_at = t
+                    break
+                prev = ests
+                t += 1
     else:
         ucb = sc.policy == "emcd_ucb"
         stats = UCBStats(n, sc.ucb_delta) if ucb else None

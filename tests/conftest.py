@@ -104,3 +104,51 @@ def ref_fold_index(kets, table_kets):
     index = {ref_state_key(t): i for i, t in enumerate(table_kets)}
     assert len(index) == len(table_kets)
     return np.array([index[ref_state_key(k)] for k in kets])
+
+
+# ---------------------------------------------------------------------------
+# the per-step escd trial loop: one draw and one plain bettor step per time
+# step, as before lookahead blocks
+
+
+def ref_draw(sampler, rng):
+    """One estimate row: from one scalar uniform for a table sampler, from
+    one shadow measurement for a direct sampler."""
+    from shadowcpd import harness as hz
+
+    if isinstance(sampler, hz._DirectSampler):
+        return sh.sample_estimates(sampler.rho, sampler.observables, sampler.kind, rng)
+    return sampler.values[int(np.searchsorted(sampler.cum, rng.random(), side="right"))]
+
+
+def ref_run_trial_escd(scenario, seed, run_index, runtime):
+    """An escd trial stepped one draw at a time; returns run_trial's result."""
+    from shadowcpd import harness as hz
+
+    sc, rt = scenario, runtime
+    rng = np.random.default_rng(seed)
+    detector = hz.SequentialDetector(rt.detector_config)
+    bettors = [rt.make_bettor(i) for i in range(rt.n)]
+    prev = [None] * rt.n
+    stop_at = None
+    for t in range(1, sc.run_cap + 1):
+        post = sc.nu is not None and t >= sc.nu
+        sampler = rt.post_sampler if post else rt.pre_sampler
+        lams = [bettor.step(o) for bettor, o in zip(bettors, prev)]
+        ests = ref_draw(sampler, rng).tolist()
+        if detector.advance([1.0 + lam * o for lam, o in zip(lams, ests)]):
+            stop_at = t
+            break
+        prev = ests
+    censored = stop_at is None
+    stop_time = sc.run_cap if censored else stop_at
+    return hz.TrialResult(
+        run_index=run_index,
+        seed=seed,
+        stop_time=stop_time,
+        censored=censored,
+        false_alarm=sc.nu is not None and not censored and stop_time < sc.nu,
+        delay=stop_time - sc.nu if sc.nu is not None and not censored
+        and stop_time >= sc.nu else None,
+        nu=sc.nu,
+    )

@@ -293,24 +293,84 @@ def _oracle_streams(lower, upper, steps):
     }
 
 
-@pytest.mark.parametrize("k", [bt.UP_GRID_SIZE, 2])
+#: lookahead schedules: None steps plainly, a number opens blocks of that
+#: many steps (shorter where t allows fewer), "mixed" switches between plain
+#: steps and blocks of 1, 2 and 16 at random points of the stream
+_SCHEDULES = (None, 1, 2, bt.LOOKAHEAD_BLOCK, "mixed")
+
+
+def _block_lengths(schedule, steps):
+    """{t: length} of the lookahead blocks a schedule opens."""
+    rng = np.random.default_rng(16)
+    out = {}
+    t = 1
+    while t <= steps:
+        size = schedule
+        if schedule == "mixed":
+            size = (None, 1, 2, bt.LOOKAHEAD_BLOCK)[int(rng.integers(4))]
+        if size is None:
+            t += 1
+            continue
+        out[t] = min(size, t & -t, steps + 1 - t)
+        t += out[t]
+    return out
+
+
+# an odd grid puts each step's rows of a block at another offset from
+# the vector lanes of the stacked kernels
+@pytest.mark.parametrize("k", [bt.UP_GRID_SIZE, 2, 7])
 @pytest.mark.parametrize("two_sided", [True, False])
 def test_cbce_matches_reference_bit_for_bit(k, two_sided):
     # the reductions over experts (prior sum, UP bets, raw sum, weighted
-    # bet) run in birth order; any other order moves bets by ulps
+    # bet) run in birth order; any other order moves bets by ulps.  Bets
+    # computed a lookahead block at a time must keep every bit.
     bounds = (-1.0, 9.0)
     full = bt.lambda_interval(bounds)
     interval = full if two_sided else full.nonnegative()
     for name, stream in _oracle_streams(*bounds, 2100).items():
-        fast = bt.CBCEBettor(interval, bounds, k)
         ref = ReferenceCBCE(interval, bounds, k)
+        want = []
         o_prev = None
-        for t, o in enumerate(stream, start=1):
-            lam = fast.step(o_prev)
-            assert lam == ref.step(o_prev), (name, t)
-            assert np.array_equal(fast.last_weights, ref.last_weights), (name, t)
-            assert fast.entries == [(e.t1, e.t2) for e in ref.entries], (name, t)
+        for o in stream:
+            want.append((ref.step(o_prev), ref.last_weights, [(e.t1, e.t2) for e in ref.entries]))
             o_prev = o
+        for schedule in _SCHEDULES:
+            blocks = _block_lengths(schedule, len(stream))
+            fast = bt.CBCEBettor(interval, bounds, k)
+            o_prev = None
+            for t, (o, (lam, weights, entries)) in enumerate(zip(stream, want), start=1):
+                # step t + j is passed stream[t + j - 2]
+                ahead = stream[t - 1:t + blocks[t] - 2] if t in blocks else None
+                assert fast.step(o_prev, ahead) == lam, (name, schedule, t)
+                assert np.array_equal(fast.last_weights, weights), (name, schedule, t)
+                assert fast.entries == entries, (name, schedule, t)
+                o_prev = o
+
+
+def test_cbce_lookahead_rejects_misuse():
+    bounds = (-3.0, 3.0)
+
+    def bettor_at(t):
+        b = bt.CBCEBettor(bt.lambda_interval(bounds), bounds)
+        for s in range(1, t):
+            b.step(None if s == 1 else 0.5)
+        return b
+
+    with pytest.raises(ValueError, match="cannot start at step 6"):
+        bettor_at(6).step(0.5, ahead=[0.5] * 3)  # 6 .. 9 crosses 8
+    with pytest.raises(ValueError, match="cannot start at step 32"):
+        bettor_at(32).step(0.5, ahead=[0.5] * bt.LOOKAHEAD_BLOCK)
+    with pytest.raises(ValueError, match="outside the declared range"):
+        bettor_at(4).step(0.5, ahead=[0.5, 4.0])
+    b = bettor_at(4)
+    b.step(0.5, ahead=[1.0, -1.0])
+    with pytest.raises(ValueError, match="inside the lookahead block"):
+        b.step(1.0, ahead=[])
+    with pytest.raises(ValueError, match="not the estimate passed ahead"):
+        b.step(0.5)
+    b.step(1.0)
+    b.step(-1.0)
+    b.step(2.0)  # the block is over: any admissible estimate
 
 
 def test_cbce_experts_are_the_covering_intervals():

@@ -187,6 +187,27 @@ def test_sweep_rejects_invalid_swept_value(scenario_file, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("param, values, bad", [
+    ("theta1", "0.5,-2", "-2"),  # fails scenario validation
+    ("betting.cbce.slack", "0.001,5", "5"),  # fails when the runtime is built
+])
+def test_sweep_checks_every_value_before_running_any(param, values, bad, scenario_file,
+                                                      tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(hz, "run_experiment", lambda *args, **kwargs: runs.append(args))
+    out_path = tmp_path / "rows.csv"
+    for out in ([], ["--out", str(out_path)]):
+        rc = cli.main(["sweep", "--scenario", scenario_file, "--param", param,
+                       "--values", values, "--runs", "1", *out])
+        assert rc == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith(f"error: sweep value {bad}: scenario.")
+    assert runs == []
+    assert not out_path.exists()
+
+
 def test_sweep_nested_param_path(scenario_file, capsys):
     rc = cli.main(["sweep", "--scenario", scenario_file, "--param", "betting.cbce.grid",
                    "--values", "8,16", "--runs", "2", "--seed", "5"])

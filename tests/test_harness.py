@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from shadowcpd import betting as bt
 from shadowcpd import harness as hz
+
+from conftest import ref_draw, ref_run_trial_escd
 
 
 BASE = {
@@ -299,6 +302,61 @@ def test_direct_sampler_output_is_pinned(ensemble):
     assert isinstance(rt.post_sampler, hz._DirectSampler)
     res = [hz.run_trial(sc, hz.derive_seed(11, i), i, rt) for i in range(5)]
     assert hashlib.sha256(hz.results_csv(sc, res).encode()).hexdigest() == digest
+
+
+#: escd scenarios for the per-step oracle: label -> overrides
+LOOKAHEAD_CASES = {
+    "local-sr": dict(d=2, nu=None, alpha=0.02, run_cap=700),
+    "local-cusum": dict(d=2, nu=None, alpha=0.02, run_cap=700, detector="cusum"),
+    "local-4-observables": dict(d=2, observables={"rotated": 4}, nu=70, alpha=0.02),
+    "joint-d2": dict(d=2, ensemble="joint", theta1=0.8, nu=50, alpha=0.01),
+    "joint-d3": dict(d=3, ensemble="joint", theta1=0.8, nu=50, alpha=0.01),
+    # a cap that ends inside a lookahead block, with censored trials
+    "cap-203": dict(d=2, nu=None, alpha=0.01, run_cap=203),
+    # local d = 4 is not enumerated: a fresh shadow measurement per row
+    "direct-local-d4": dict(d=4, observables={"rotated": 2}, nu=50, alpha=0.01),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
+def test_lookahead_trials_match_per_step_loop(case):
+    # estimates are drawn a lookahead block at a time and the bettors compute
+    # a block's expert bets at once; trials and CSV bytes must equal those of
+    # the per-step loop
+    sc = scenario(**LOOKAHEAD_CASES[case])
+    rt = hz.ScenarioRuntime(sc)
+    direct = isinstance(rt.pre_sampler, hz._DirectSampler)
+    assert direct == case.startswith("direct")
+    seeds = [(i, hz.derive_seed(3, i)) for i in range(8)]
+    got = [hz.run_trial(sc, seed, i, rt) for i, seed in seeds]
+    want = [ref_run_trial_escd(sc, seed, i, rt) for i, seed in seeds]
+    assert got == want
+    assert hz.results_csv(sc, got).encode() == hz.results_csv(sc, want).encode()
+    if case == "cap-203":
+        assert any(r.censored for r in got)
+
+
+@pytest.mark.parametrize("t, count", [(1, 1), (32, 16), (36, 4), (48, 16), (50, 2)])
+def test_block_draws_split_at_changepoint_match_single_draws(t, count):
+    # nu = 37: a block from 32 draws 5 pre-change rows, then 11 post-change
+    sc = scenario(d=2, nu=37)
+    rt = hz.ScenarioRuntime(sc)
+    block_rng, single_rng = np.random.default_rng(5), np.random.default_rng(5)
+    block = hz._draw_estimates(rt, sc.nu, block_rng, t, count)
+    single = [ref_draw(rt.post_sampler if s >= sc.nu else rt.pre_sampler, single_rng)
+              for s in range(t, t + count)]
+    assert np.array_equal(block, np.array(single))
+    assert block_rng.random() == single_rng.random()  # same position in the stream
+
+
+def test_lookahead_blocks_never_cross_a_power_of_two():
+    t = 1
+    while t < 5000:
+        count = bt.lookahead_block(t)
+        assert count <= bt.LOOKAHEAD_BLOCK and t % count == 0
+        assert (t + count - 1).bit_length() == t.bit_length()
+        t += count
+    assert [bt.lookahead_block(t) for t in (1, 2, 4, 8, 16, 32, 48)] == [1, 2, 4, 8, 16, 16, 16]
 
 
 # ---------------------------------------------------------------------------
