@@ -72,9 +72,11 @@ def _cmd_run(args):
     if args.out:
         _check_writable(args.out)
     t0 = time.perf_counter()
-    results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism)
+    runtime = harness.ScenarioRuntime(scenario)
+    results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism,
+                                     runtime=runtime)
     wall = time.perf_counter() - t0
-    stats = harness.summarize(results, scenario)
+    stats = harness.summarize(results, scenario, runtime)
     if args.out:
         try:
             harness.emit_results(scenario, results, stats, args.format, args.out,
@@ -123,20 +125,20 @@ def _cmd_sweep(args):
     ]
     # every value is checked, down to its runtime (bounds, bet intervals),
     # before any is run
-    scenarios = []
+    runtimes = []
     for value in values:
         data = harness._copy_jsonish(base)
         _set_path(data, args.param, value)
         try:
-            scenario = harness.Scenario.from_dict(data)
-            harness.ScenarioRuntime(scenario)
+            runtimes.append(harness.ScenarioRuntime(harness.Scenario.from_dict(data)))
         except harness.ScenarioError as exc:
             raise SystemExit2(f"sweep value {value!r}: {exc}")
-        scenarios.append(scenario)
     lines = [",".join(header)]
-    for value, scenario in zip(values, scenarios):
-        results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism)
-        stats = harness.summarize(results, scenario)
+    for value, runtime in zip(values, runtimes):
+        scenario = runtime.scenario
+        results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism,
+                                         runtime=runtime)
+        stats = harness.summarize(results, scenario, runtime)
         qs = stats.delay_quantiles or {}
         row = [
             args.param,

@@ -1,7 +1,7 @@
 """Betting-based e-detectors for sequential changepoint detection.
 
-Each monitored observable carries a Shiryaev-Roberts statistic and a
-CUSUM statistic, both driven by positive capital multipliers
+Each monitored observable carries a Shiryaev-Roberts or a CUSUM
+statistic, as configured, driven by positive capital multipliers
 L = 1 + lambda * o_hat.  A weighted mixture across observables is
 compared against the threshold 1/alpha, for SR and CUSUM alike, and
 crossing it is the detection event.
@@ -78,11 +78,10 @@ class SequentialDetector:
         n = config.n_observables
         self._w = np.asarray(config.weights, dtype=float)
         self._logw = np.log(self._w)
-        # per-observable SR/CUSUM mantissas and log offsets
-        self._msr = [0.0] * n
-        self._mcu = [0.0] * n
-        self._osr = [0.0] * n
-        self._ocu = [0.0] * n
+        # per-observable mantissas and log offsets of the configured statistic
+        self._sr = config.kind == SR
+        self._m = [0.0] * n
+        self._off = [0.0] * n
         self._threshold = config.threshold
         self._log_threshold = math.log(config.threshold)
         self.stopped = False
@@ -90,31 +89,29 @@ class SequentialDetector:
 
     @property
     def n_observables(self) -> int:
-        return len(self._msr)
+        return len(self._m)
 
     def advance(self, increments) -> bool:
-        """Apply one round: SR m <- L * (m + 1) and CUSUM m <- L * max(m, 1)."""
+        """Apply one round: SR m <- L * (m + 1) or CUSUM m <- L * max(m, 1)."""
         if self.stopped:
             raise RuntimeError("detector already stopped; cannot step further")
-        if len(increments) != len(self._msr):
+        if len(increments) != len(self._m):
             raise ValueError(f"expected {self.n_observables} increments, got {len(increments)}")
         self.t += 1
-        msr, mcu, osr, ocu = self._msr, self._mcu, self._osr, self._ocu
+        mant, off, sr = self._m, self._off, self._sr
         for i, incr in enumerate(increments):
             if incr is None:
                 continue
             if not incr > 0.0:
                 raise ValueError(f"capital multiplier must be positive, got {incr!r}")
-            m = incr * (msr[i] + math.exp(-osr[i]))
+            if sr:
+                m = incr * (mant[i] + math.exp(-off[i]))
+            else:
+                m = incr * max(mant[i], math.exp(-off[i]))
             while m > PROMOTE_AT:
                 m /= PROMOTE_AT
-                osr[i] += _LOG_PROMOTE
-            msr[i] = m
-            m = incr * max(mcu[i], math.exp(-ocu[i]))
-            while m > PROMOTE_AT:
-                m /= PROMOTE_AT
-                ocu[i] += _LOG_PROMOTE
-            mcu[i] = m
+                off[i] += _LOG_PROMOTE
+            mant[i] = m
         mixture, stop = self._decide()
         if stop:
             self.stopped = True
@@ -124,10 +121,7 @@ class SequentialDetector:
         return self._decide()[0]
 
     def _decide(self):
-        if self.config.kind == SR:
-            m, off = self._msr, self._osr
-        else:
-            m, off = self._mcu, self._ocu
+        m, off = self._m, self._off
         if not any(off):
             # exact in linear scale, so a boundary hit M == threshold stops
             mixture = float(np.dot(self._w, m))

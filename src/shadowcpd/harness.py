@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -384,9 +385,16 @@ class _EigenTable(_TableSampler):
     def __init__(self, pm: ProjectiveMeasurement, rho: DensityMatrix):
         probs = np.clip(pm.born_weights(rho), 0.0, None)
         super().__init__(probs / probs.sum(), pm.outcome_values)
+        # bisect_right on the list form finds searchsorted(side="right")'s index
+        self._cum = self.cum.tolist()
+        self._values = self.values.tolist()
+
+    def at(self, u: float) -> float:
+        """The outcome that the uniform ``u`` selects."""
+        return self._values[bisect_right(self._cum, u)]
 
     def draw(self, rng):
-        return float(self.values[int(np.searchsorted(self.cum, rng.random(), side="right"))])
+        return self.at(rng.random())
 
 
 class ScenarioRuntime:
@@ -518,57 +526,69 @@ def _draw_estimates(rt: ScenarioRuntime, nu, rng, t: int, count: int) -> np.ndar
     return np.concatenate([rt.pre_sampler.draw(rng, pre), rt.post_sampler.draw(rng, count - pre)])
 
 
+def _draw_outcomes(rt: ScenarioRuntime, nu, rng, t: int, count: int) -> list:
+    """Round-robin outcomes of steps t .. t+count-1, where step s measures
+    observable (s - 1) mod n.  One block of uniforms consumes the stream as
+    ``count`` scalar draws do."""
+    out = []
+    for s, u in enumerate(rng.random(count).tolist(), start=t):
+        tables = rt.post_tables if nu is not None and s >= nu else rt.pre_tables
+        out.append(tables[(s - 1) % rt.n].at(u))
+    return out
+
+
 def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
               runtime: ScenarioRuntime | None = None) -> TrialResult:
-    """One full detection run; deterministic in (scenario, seed)."""
+    """One full detection run; deterministic in (scenario, seed).
+
+    A step measures every observable (escd) or one (matched).  Except under
+    UCB over several observables, which picks from past increments, the
+    schedule is fixed, so outcomes are drawn a block at a time and each
+    bettor's first step in a block gets its later outcomes ahead.  A block
+    spans one lookahead block of every bettor: rounds of one step (escd) or
+    n steps (round-robin), in each of which every bettor steps once.
+    """
     rt = runtime if runtime is not None else ScenarioRuntime(scenario)
     sc = scenario
     rng = np.random.default_rng(seed)
     detector = SequentialDetector(rt.detector_config)
     n = rt.n
+    bettors = [rt.make_bettor(i) for i in range(n)]
+    prev = [None] * n
+    # UCB over one observable always picks it, as round-robin does
+    stats = UCBStats(n, sc.ucb_delta) if sc.policy == "emcd_ucb" and n > 1 else None
+    every = tuple(range(n))
+    no_ahead = [None] * n
     stop_at = None
-
-    if sc.policy == "escd":
-        bettors = [rt.make_bettor(i) for i in range(n)]
-        # estimates do not depend on the bets: they are drawn a block at a
-        # time, and each bettor gets the block's later estimates ahead
-        no_ahead = (None,) * n
-        prev = [None] * n
-        t = 1
-        while stop_at is None and t <= sc.run_cap:
+    t = 1
+    while stop_at is None and t <= sc.run_cap:
+        if stats is not None:
+            idx = select_index("ucb", t, n, stats)
+            tables = rt.post_tables if sc.nu is not None and t >= sc.nu else rt.pre_tables
+            steps = (((idx,), (tables[idx].draw(rng),)),)
+            ahead = no_ahead
+        elif sc.policy == "escd":
             count = min(lookahead_block(t), sc.run_cap + 1 - t)
             block = _draw_estimates(rt, sc.nu, rng, t, count)
-            ahead = block[:-1].T
-            for ests in block.tolist():
-                lams = [bettor.step(o, a) for bettor, o, a in zip(bettors, prev, ahead)]
-                ahead = no_ahead
-                if detector.advance([1.0 + lam * o for lam, o in zip(lams, ests)]):
-                    stop_at = t
-                    break
-                prev = ests
-                t += 1
-    else:
-        ucb = sc.policy == "emcd_ucb"
-        stats = UCBStats(n, sc.ucb_delta) if ucb else None
-        mode = "ucb" if ucb else "round_robin"
-        bettors = [rt.make_bettor(i) for i in range(n)]
-        prev = [None] * n
-        for t in range(1, sc.run_cap + 1):
-            post = sc.nu is not None and t >= sc.nu
-            tables = rt.post_tables if post else rt.pre_tables
-            idx = select_index(mode, t, n, stats)
-            lam = bettors[idx].step(prev[idx])
-            outcome = tables[idx].draw(rng)
-            incr = 1.0 + lam * outcome
-            if ucb:
-                stats.record(idx, incr)
+            steps = [(every, ests) for ests in block.tolist()]
+            ahead = list(block[:-1].T)
+        else:
+            count = min(lookahead_block((t - 1) // n + 1) * n, sc.run_cap + 1 - t)
+            outcomes = _draw_outcomes(rt, sc.nu, rng, t, count)
+            steps = [((j % n,), (o,)) for j, o in enumerate(outcomes)]
+            ahead = [outcomes[i::n][:-1] for i in range(n)]
+        for measured, values in steps:
             row = [None] * n
-            row[idx] = incr
-            stopped = detector.advance(row)
-            prev[idx] = outcome
-            if stopped:
+            for i, o in zip(measured, values):
+                row[i] = 1.0 + bettors[i].step(prev[i], ahead[i]) * o
+                ahead[i] = None  # only a bettor's first step in the block looks ahead
+                prev[i] = o
+            if stats is not None:
+                stats.record(idx, row[idx])
+            if detector.advance(row):
                 stop_at = t
                 break
+            t += 1
 
     censored = stop_at is None
     stop_time = sc.run_cap if censored else stop_at
@@ -586,21 +606,25 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
     )
 
 
-def _run_chunk(scenario: Scenario, pairs):
-    rt = ScenarioRuntime(scenario)
+def _run_chunk(scenario: Scenario, pairs, runtime: ScenarioRuntime | None = None):
+    rt = runtime if runtime is not None else ScenarioRuntime(scenario)
     return [run_trial(scenario, seed, idx, rt) for idx, seed in pairs]
 
 
 def run_experiment(scenario: Scenario, runs: int, master_seed: int,
-                   parallelism: int = 1):
-    """Seeded batch of trials, ordered by run index, parallelism-invariant."""
+                   parallelism: int = 1, runtime: ScenarioRuntime | None = None):
+    """Seeded batch of trials, ordered by run index, parallelism-invariant.
+
+    ``runtime``, the scenario's prebuilt ScenarioRuntime, serves the
+    trials at parallelism 1; worker processes build their own.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     pairs = [(i, derive_seed(master_seed, i)) for i in range(runs)]
     if parallelism == 1:
-        return _run_chunk(scenario, pairs)
+        return _run_chunk(scenario, pairs, runtime)
     per = math.ceil(runs / parallelism)
     chunks = [pairs[i:i + per] for i in range(0, runs, per)]
     results = []
@@ -664,18 +688,20 @@ def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None,
                            for (probs, values), iv in zip(outcomes, rt.full_intervals))
 
 
-def _growth_reference(scenario: Scenario) -> float | None:
+def _growth_reference(scenario: Scenario, runtime: ScenarioRuntime | None) -> float | None:
     if scenario.nu is None:
         return None
-    rt = ScenarioRuntime(scenario)
+    rt = runtime if runtime is not None else ScenarioRuntime(scenario)
     if isinstance(rt.post_sampler, _DirectSampler):
         # a Monte Carlo reference would make the summary depend on a seed
         return None
     return scenario_growth(scenario, runtime=rt).d_star
 
 
-def summarize(results, scenario: Scenario | None = None) -> SummaryStats:
-    """Aggregate metrics; censored runs count at the cap in mean_run_length."""
+def summarize(results, scenario: Scenario | None = None,
+              runtime: ScenarioRuntime | None = None) -> SummaryStats:
+    """Aggregate metrics; censored runs count at the cap in mean_run_length.
+    The growth reference reads ``runtime`` when given."""
     if len(results) == 0:
         raise ValueError("cannot summarize zero trials")
     stop_times = np.array([r.stop_time for r in results], dtype=float)
@@ -687,7 +713,7 @@ def summarize(results, scenario: Scenario | None = None) -> SummaryStats:
     else:
         quantiles = None
         mean_delay = None
-    d_star = _growth_reference(scenario) if scenario is not None else None
+    d_star = _growth_reference(scenario, runtime) if scenario is not None else None
     return SummaryStats(
         runs=len(results),
         mean_run_length=float(stop_times.mean()),

@@ -49,7 +49,13 @@ class ProjectiveMeasurement:
 
 
 class UCBStats:
-    """Per-index selection counts and increment sums for UCB scheduling."""
+    """Per-index selection counts, increment sums and UCB scores.
+
+    ``record`` updates only the index it is given.  Its score
+    s / c + sqrt(2 log(1/delta) / c) is built from correctly rounded IEEE
+    operations, so it has the bits of the same formula evaluated over
+    arrays.  An index not yet selected scores +inf.
+    """
 
     def __init__(self, n: int, delta: float = UCB_DEFAULT_DELTA):
         if n < 1:
@@ -57,22 +63,34 @@ class UCBStats:
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
         self.delta = float(delta)
-        self.counts = np.zeros(n, dtype=np.int64)
-        self.increment_sums = np.zeros(n)
+        self._bonus = 2.0 * math.log(1.0 / self.delta)
+        self._counts = [0] * n
+        self._sums = [0.0] * n
+        self._scores = [math.inf] * n
 
     @property
     def n(self) -> int:
-        return self.counts.size
+        return len(self._counts)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.array(self._counts, dtype=np.int64)
+
+    @property
+    def increment_sums(self) -> np.ndarray:
+        return np.array(self._sums)
 
     def record(self, index: int, increment: float) -> None:
-        self.counts[index] += 1
-        self.increment_sums[index] += increment
+        c = self._counts[index] + 1
+        s = self._sums[index] + increment
+        self._counts[index] = c
+        self._sums[index] = s
+        self._scores[index] = s / c + math.sqrt(self._bonus / c)
 
     def scores(self) -> np.ndarray:
-        if self.counts.min() < 1:
+        if 0 in self._counts:
             raise ValueError("UCB scores need every index selected at least once")
-        means = self.increment_sums / self.counts
-        return means + np.sqrt(2.0 * math.log(1.0 / self.delta) / self.counts)
+        return np.array(self._scores)
 
 
 def select_index(mode: str, t: int, n: int, stats: UCBStats | None = None) -> int:
@@ -94,7 +112,6 @@ def select_index(mode: str, t: int, n: int, stats: UCBStats | None = None) -> in
         raise ValueError("ucb scheduling needs UCBStats")
     if stats.n != n:
         raise ValueError(f"stats cover {stats.n} indices, expected {n}")
-    cold = np.flatnonzero(stats.counts == 0)
-    if cold.size:
-        return int(cold[0])
-    return int(np.argmax(stats.scores()))
+    # the first maximal score: a cold index (+inf) during warm-up
+    scores = stats._scores
+    return scores.index(max(scores))

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite (imported, not fixtures)."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -140,6 +141,106 @@ def ref_run_trial_escd(scenario, seed, run_index, runtime):
             stop_at = t
             break
         prev = ests
+    return _trial_result(sc, seed, run_index, stop_at)
+
+
+# ---------------------------------------------------------------------------
+# the array form of UCB scheduling and the per-step matched trial loop, as
+# before scores were kept per index and fixed schedules took lookahead blocks
+
+UCB_DEFAULT_DELTA = 0.1
+
+
+class RefUCBStats:
+    """Per-index selection counts and increment sums for UCB scheduling."""
+
+    def __init__(self, n: int, delta: float = UCB_DEFAULT_DELTA):
+        if n < 1:
+            raise ValueError("need at least one index")
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+        self.delta = float(delta)
+        self.counts = np.zeros(n, dtype=np.int64)
+        self.increment_sums = np.zeros(n)
+
+    @property
+    def n(self) -> int:
+        return self.counts.size
+
+    def record(self, index: int, increment: float) -> None:
+        self.counts[index] += 1
+        self.increment_sums[index] += increment
+
+    def scores(self) -> np.ndarray:
+        if self.counts.min() < 1:
+            raise ValueError("UCB scores need every index selected at least once")
+        means = self.increment_sums / self.counts
+        return means + np.sqrt(2.0 * math.log(1.0 / self.delta) / self.counts)
+
+
+def ref_select_index(mode: str, t: int, n: int, stats=None) -> int:
+    """Index (0-based) of the observable to measure at step t >= 1.
+
+    Round-robin cycles in order.  UCB warms up by forcing each index
+    once, in order, then plays the highest mean-plus-bonus score with
+    ties going to the smallest index.
+    """
+    if t < 1:
+        raise ValueError("time starts at 1")
+    if n < 1:
+        raise ValueError("need at least one index")
+    if mode == "round_robin":
+        return (t - 1) % n
+    if mode != "ucb":
+        raise ValueError(f"unknown scheduling mode {mode!r}")
+    if stats is None:
+        raise ValueError("ucb scheduling needs UCBStats")
+    if stats.n != n:
+        raise ValueError(f"stats cover {stats.n} indices, expected {n}")
+    cold = np.flatnonzero(stats.counts == 0)
+    if cold.size:
+        return int(cold[0])
+    return int(np.argmax(stats.scores()))
+
+
+def ref_run_trial_matched(scenario, seed, run_index, runtime):
+    """A matched trial stepped one draw at a time, with the array-form UCB
+    and searchsorted draws; returns run_trial's result."""
+    from shadowcpd import harness as hz
+
+    sc, rt = scenario, runtime
+    rng = np.random.default_rng(seed)
+    detector = hz.SequentialDetector(rt.detector_config)
+    n = rt.n
+    stop_at = None
+    ucb = sc.policy == "emcd_ucb"
+    stats = RefUCBStats(n, sc.ucb_delta) if ucb else None
+    mode = "ucb" if ucb else "round_robin"
+    bettors = [rt.make_bettor(i) for i in range(n)]
+    prev = [None] * n
+    for t in range(1, sc.run_cap + 1):
+        post = sc.nu is not None and t >= sc.nu
+        tables = rt.post_tables if post else rt.pre_tables
+        idx = ref_select_index(mode, t, n, stats)
+        lam = bettors[idx].step(prev[idx])
+        table = tables[idx]
+        outcome = float(table.values[int(np.searchsorted(table.cum, rng.random(), side="right"))])
+        incr = 1.0 + lam * outcome
+        if ucb:
+            stats.record(idx, incr)
+        row = [None] * n
+        row[idx] = incr
+        stopped = detector.advance(row)
+        prev[idx] = outcome
+        if stopped:
+            stop_at = t
+            break
+    return _trial_result(sc, seed, run_index, stop_at)
+
+
+def _trial_result(sc, seed, run_index, stop_at):
+    from shadowcpd import harness as hz
+
     censored = stop_at is None
     stop_time = sc.run_cap if censored else stop_at
     return hz.TrialResult(

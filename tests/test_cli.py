@@ -216,6 +216,29 @@ def test_sweep_nested_param_path(scenario_file, capsys):
     assert len(out.strip().split("\n")) == 3
 
 
+@pytest.mark.parametrize("policy", ["escd", "emcd_ucb"])
+def test_run_and_sweep_build_one_runtime_per_scenario(policy, tmp_path, capsys, monkeypatch):
+    # the runtime that checks a scenario also serves its trials and the
+    # summary's growth reference (finite nu)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(BASE, policy=policy)), encoding="utf-8")
+    built = []
+    init = hz.ScenarioRuntime.__init__
+
+    def counting_init(self, scenario):
+        built.append(scenario)
+        init(self, scenario)
+
+    monkeypatch.setattr(hz.ScenarioRuntime, "__init__", counting_init)
+    assert cli.main(["run", "--scenario", str(path), "--runs", "2"]) == 0
+    assert len(built) == 1
+    built.clear()
+    assert cli.main(["sweep", "--scenario", str(path), "--param", "theta1",
+                     "--values", "0.5,1.0", "--runs", "2"]) == 0
+    assert [sc.theta1 for sc in built] == [0.5, 1.0]
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # preset
 

@@ -10,7 +10,7 @@ import pytest
 from shadowcpd import betting as bt
 from shadowcpd import harness as hz
 
-from conftest import ref_draw, ref_run_trial_escd
+from conftest import ref_draw, ref_run_trial_escd, ref_run_trial_matched
 
 
 BASE = {
@@ -304,7 +304,7 @@ def test_direct_sampler_output_is_pinned(ensemble):
     assert hashlib.sha256(hz.results_csv(sc, res).encode()).hexdigest() == digest
 
 
-#: escd scenarios for the per-step oracle: label -> overrides
+#: scenarios for the per-step oracles: label -> overrides
 LOOKAHEAD_CASES = {
     "local-sr": dict(d=2, nu=None, alpha=0.02, run_cap=700),
     "local-cusum": dict(d=2, nu=None, alpha=0.02, run_cap=700, detector="cusum"),
@@ -315,25 +315,45 @@ LOOKAHEAD_CASES = {
     "cap-203": dict(d=2, nu=None, alpha=0.01, run_cap=203),
     # local d = 4 is not enumerated: a fresh shadow measurement per row
     "direct-local-d4": dict(d=4, observables={"rotated": 2}, nu=50, alpha=0.01),
+    # round-robin blocks span a lookahead block of every bettor: 16 rounds of
+    # n steps from round 16; nu = 37 and 100 fall inside a block, and a cap of
+    # 203 ends inside one
+    "rr-1": dict(d=2, policy="emcd_rr", nu=37, alpha=0.01),
+    "rr-1-cap-203": dict(d=2, policy="emcd_rr", nu=None, alpha=0.005, run_cap=203),
+    "rr-3": dict(d=2, policy="emcd_rr", observables={"rotated": 3}, theta1=0.5, nu=100,
+                 alpha=0.01),
+    "rr-3-cusum-cap-203": dict(d=2, policy="emcd_rr", observables={"rotated": 3}, nu=None,
+                               alpha=0.005, run_cap=203, detector="cusum"),
+    # UCB over one observable takes the round-robin path; over several it
+    # steps one draw at a time
+    "ucb-1": dict(d=2, policy="emcd_ucb", nu=37, alpha=0.01),
+    "ucb-1-cap-203": dict(d=2, policy="emcd_ucb", nu=None, alpha=0.005, run_cap=203),
+    "ucb-3": dict(d=2, policy="emcd_ucb", observables={"rotated": 3}, theta1=0.5, nu=100,
+                  alpha=0.01),
+    "ucb-8": dict(d=2, policy={"emcd_ucb": {"delta": 0.3}}, observables={"rotated": 8},
+                  nu=37, alpha=0.01, run_cap=203),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
 def test_lookahead_trials_match_per_step_loop(case):
-    # estimates are drawn a lookahead block at a time and the bettors compute
-    # a block's expert bets at once; trials and CSV bytes must equal those of
-    # the per-step loop
+    # outcomes of a fixed schedule are drawn a lookahead block at a time and
+    # the bettors compute a block's expert bets at once; trials and CSV bytes
+    # must equal those of the per-step loops
     sc = scenario(**LOOKAHEAD_CASES[case])
     rt = hz.ScenarioRuntime(sc)
     direct = isinstance(rt.pre_sampler, hz._DirectSampler)
     assert direct == case.startswith("direct")
+    ref = ref_run_trial_escd if sc.policy == "escd" else ref_run_trial_matched
     seeds = [(i, hz.derive_seed(3, i)) for i in range(8)]
     got = [hz.run_trial(sc, seed, i, rt) for i, seed in seeds]
-    want = [ref_run_trial_escd(sc, seed, i, rt) for i, seed in seeds]
+    want = [ref(sc, seed, i, rt) for i, seed in seeds]
     assert got == want
     assert hz.results_csv(sc, got).encode() == hz.results_csv(sc, want).encode()
-    if case == "cap-203":
+    if "cap-203" in case:
         assert any(r.censored for r in got)
+    if sc.nu is not None:
+        assert any(r.delay is not None for r in got)
 
 
 @pytest.mark.parametrize("t, count", [(1, 1), (32, 16), (36, 4), (48, 16), (50, 2)])

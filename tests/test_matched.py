@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import RefUCBStats, random_density, ref_select_index
 from shadowcpd import harness as hz
 from shadowcpd import matched as mt
 from shadowcpd import qcore as qc
@@ -163,3 +163,36 @@ def test_ucb_stats_track_only_selected_index():
 def test_select_index_validates_mode():
     with pytest.raises(ValueError):
         mt.select_index("other", 1, 2)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.05, 0.3, 1e-6])
+def test_ucb_matches_array_form_bit_for_bit(delta):
+    # per-index scores against the array form kept in conftest; increments
+    # drawn from a few values, and one stream of a single value, so that
+    # scores tie exactly and the smallest index must win
+    rng = np.random.default_rng(int(1 / delta))
+    for n in range(1, 10):
+        for values in ([1.0], [0.5, 1.0, 1.5], [0.9, 1.1], None):
+            stats, ref = mt.UCBStats(n, delta), RefUCBStats(n, delta)
+            ties = 0
+            for t in range(1, 200):
+                i = mt.select_index("ucb", t, n, stats)
+                assert i == ref_select_index("ucb", t, n, ref), (n, values, t)
+                incr = float(rng.choice(values)) if values else float(np.exp(rng.normal(0, 0.2)))
+                stats.record(i, incr)
+                ref.record(i, incr)
+                assert stats.counts.tolist() == ref.counts.tolist()
+                assert stats.increment_sums.tobytes() == ref.increment_sums.tobytes()
+                if t >= n:
+                    got, want = stats.scores(), ref.scores()
+                    assert got.tobytes() == want.tobytes(), (n, values, t)
+                    ties += int((want == want.max()).sum() > 1)
+            if values == [1.0] and n > 1:
+                assert ties > 0
+
+
+def test_ucb_scores_need_every_index():
+    stats = mt.UCBStats(2)
+    stats.record(0, 1.0)
+    with pytest.raises(ValueError):
+        stats.scores()
