@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,17 +37,14 @@ _MC_CHUNK = 4096
 
 @dataclass(frozen=True)
 class LambdaInterval:
-    """Closed interval of admissible bets, with the slack that shaped it."""
+    """Closed interval of admissible bets."""
 
     lo: float
     hi: float
-    slack: float = 0.0
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"empty betting interval [{self.lo!r}, {self.hi!r}]")
-        if self.slack < 0.0:
-            raise ValueError("slack must be nonnegative")
 
     @property
     def width(self) -> float:
@@ -62,7 +60,7 @@ class LambdaInterval:
         """The sub-interval of bets that never profit from a falling estimate."""
         if self.hi <= 0.0:
             raise ValueError("interval has no nonnegative part")
-        return LambdaInterval(0.0, self.hi, self.slack)
+        return LambdaInterval(0.0, self.hi)
 
 
 def default_slack(bounds) -> float:
@@ -87,7 +85,7 @@ def lambda_interval(bounds, slack=None) -> LambdaInterval:
     if not lo < hi:
         raise ValueError(
             f"slack {slack!r} empties the betting interval for estimates in [{lower!r}, {upper!r}]")
-    return LambdaInterval(lo, hi, slack)
+    return LambdaInterval(lo, hi)
 
 
 def chebyshev_grid(interval: LambdaInterval, k: int = UP_GRID_SIZE) -> np.ndarray:
@@ -177,44 +175,34 @@ def _interval_prior(t1: int) -> float:
     return 1.0 / (t1 * t1 * (1 + int(math.log2(t1))))
 
 
-class CBCELayout:
-    """Birth order of the experts CBCE holds at each step t.
+@lru_cache(maxsize=None)
+def _birth_order(t: int):
+    """Levels of the experts CBCE holds at step t, in birth order, and their
+    normalized priors in that order.
 
     At step t one expert lives on each level k = 0 .. t.bit_length() - 1,
     the covering interval of length 2^k that contains t.  Every reduction
     over the experts runs in birth order (start time, then level),
     including the sum that normalizes their priors.  Both depend on t
-    alone, so one layout serves every bettor built from a scenario; it
-    holds one entry per step reached.
+    alone, so every bettor of the process shares one entry per step.
     """
+    if t == 0:
+        return (), ()  # no expert before the first step
+    starts = [t1 for t1, _ in covering_intervals(t)]
+    # tuples of ints and floats, which the garbage collector stops tracking
+    order = tuple(sorted(range(len(starts)), key=lambda k: (starts[k], k)))
+    priors = [_interval_prior(starts[k]) for k in order]
+    prior_sum = float(np.array(priors).sum())
+    return order, tuple(p / prior_sum for p in priors)
 
-    def __init__(self):
-        self._orders = [()]  # no expert before the first step
-        self._prior_sums = [0.0]
-        self._block_index = {}
 
-    def at(self, t: int):
-        """(levels in birth order, sum of their unnormalized priors)."""
-        orders = self._orders
-        while len(orders) <= t:
-            starts = [t1 for t1, _ in covering_intervals(len(orders))]
-            # a tuple of ints, which the garbage collector stops tracking
-            order = tuple(sorted(range(len(starts)), key=lambda k: (starts[k], k)))
-            orders.append(order)
-            priors = np.array([_interval_prior(starts[k]) for k in order])
-            self._prior_sums.append(float(priors.sum()))
-        return orders[t], self._prior_sums[t]
-
-    def block_index(self, t: int, count: int) -> np.ndarray:
-        """Rows of a (count, levels, k) block of level-ordered log-wealth,
-        flattened to (count * levels, k), that hold steps t .. t+count-1
-        in birth order; the block must not cross a power of two."""
-        index = self._block_index.get((t, count))
-        if index is None:
-            levels = t.bit_length()
-            index = np.array([j * levels + lv for j in range(count) for lv in self.at(t + j)[0]])
-            self._block_index[(t, count)] = index
-        return index
+@lru_cache(maxsize=None)
+def _block_index(t: int, count: int) -> np.ndarray:
+    """Rows of a (count, levels, k) block of level-ordered log-wealth,
+    flattened to (count * levels, k), that hold steps t .. t+count-1 in
+    birth order; the block must not cross a power of two."""
+    levels = t.bit_length()
+    return np.array([j * levels + lv for j in range(count) for lv in _birth_order(t + j)[0]])
 
 
 class CBCEBettor:
@@ -226,8 +214,9 @@ class CBCEBettor:
     intervals is what buys adaptivity to the changepoint.
 
     Expert state is held per level: the level-k expert restarts whenever
-    2^k divides t, and a new level opens at every power of two.  Bettors
-    of one scenario share a ``CBCELayout``.
+    2^k divides t, and a new level opens at every power of two.  The birth
+    order of the experts and their normalized priors depend on t alone and
+    are computed once per t for the whole process.
 
     Call ``step(o_prev)`` once per time step, passing the estimate
     observed after the previous bet (absent only on the first call).
@@ -240,17 +229,14 @@ class CBCEBettor:
     never crosses a power of two.
     """
 
-    def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE,
-                 layout: CBCELayout | None = None):
+    def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE):
         self.interval = interval
         self.o_bounds = o_bounds
         self.k = int(k)
         self.grid = chebyshev_grid(interval, k)
-        self.layout = layout if layout is not None else CBCELayout()
         self.t = 1
-        # per level: UP log-wealth row, unnormalized prior and coin state
+        # per level: UP log-wealth row and coin state
         self._log_wealth = np.zeros((0, self.k))
-        self._prior = []
         self._sum_g = []
         self._wealth = []
         self._beta = []
@@ -284,7 +270,7 @@ class CBCEBettor:
     def entries(self):
         """(t1, t2) of the experts behind the last bet, in birth order."""
         t = self.t - 1
-        return [((t >> k) << k, (((t >> k) + 1) << k) - 1) for k in self.layout.at(t)[0]]
+        return [((t >> k) << k, (((t >> k) + 1) << k) - 1) for k in _birth_order(t)[0]]
 
     def step(self, o_prev=None, ahead=None) -> float:
         t = self.t
@@ -299,8 +285,7 @@ class CBCEBettor:
         if born == levels:
             # t is a power of two: every expert restarts and one level opens
             self._log_wealth = np.zeros((levels, self.k))
-            for state in (self._prior, self._sum_g, self._wealth, self._beta, self._lam,
-                          self._backed):
+            for state in (self._sum_g, self._wealth, self._beta, self._lam, self._backed):
                 state.append(None)
         if o_prev is not None:
             o_hat = float(o_prev)
@@ -309,7 +294,7 @@ class CBCEBettor:
             elif o_hat != self._ahead[t - self._block_start - 1]:
                 raise ValueError(f"step {t} got {o_hat!r}, not the estimate passed ahead")
             meta_loss = -math.log1p(self.last_lam * o_hat)
-        order, prior_sum = self.layout.at(t)
+        order, priors = _birth_order(t)
         if in_block:
             if ahead is not None:
                 raise ValueError(f"step {t} lies inside the lookahead block opened at "
@@ -323,14 +308,12 @@ class CBCEBettor:
             if ahead is not None and len(ahead):
                 self._look_ahead(ahead, levels)
         lams = lams_arr.tolist()
-        prior, sum_g, wealth = self._prior, self._sum_g, self._wealth
+        sum_g, wealth = self._sum_g, self._wealth
         beta, lam, backed = self._beta, self._lam, self._backed
-        born_prior = _interval_prior(t)
         scale = 2.0 * self.loss_bound
         raw = []
         for i, lv in enumerate(order):
             if lv < born:
-                prior[lv] = born_prior
                 sum_g[lv] = 0.0
                 wealth[lv] = 1.0
             else:
@@ -349,7 +332,7 @@ class CBCEBettor:
             beta[lv] = b
             lam[lv] = lams[i]
             stake = b * wealth[lv]
-            r = prior[lv] / prior_sum * stake if stake > 0.0 else 0.0
+            r = priors[i] * stake if stake > 0.0 else 0.0
             backed[lv] = r > 0.0
             raw.append(r)
         raw = np.array(raw)
@@ -357,7 +340,7 @@ class CBCEBettor:
         if total > 0.0:
             weights = raw / total
         else:
-            weights = np.array([prior[lv] / prior_sum for lv in order])
+            weights = np.array(priors)
         self.last_weights = weights
         self.last_lam = self.interval.clip(float(weights @ lams_arr))
         self.t = t + 1
@@ -390,7 +373,7 @@ class CBCEBettor:
             live = (s & -s).bit_length()
             np.add(prev[live:], inc, out=row[live:])
             prev = row
-        birth_rows = rows.reshape(-1, self.k).take(self.layout.block_index(t + 1, count), axis=0)
+        birth_rows = rows.reshape(-1, self.k).take(_block_index(t + 1, count), axis=0)
         self._block_bets = _up_bets(birth_rows.reshape(count, levels, self.k), self.grid)
         self._log_wealth = rows[-1]
         self._ahead = ahead.tolist()

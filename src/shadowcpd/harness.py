@@ -14,14 +14,13 @@ import json
 import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .betting import (
     CBCEBettor,
-    CBCELayout,
     ConstantBettor,
     GROWTH_SHOTS,
     GrowthEstimate,
@@ -422,7 +421,6 @@ class ScenarioRuntime:
 
         cfg = sc.betting.get("cbce", {})
         self.bet_grid = cfg.get("grid", UP_GRID_SIZE)
-        self.cbce_layout = CBCELayout()
         slack = cfg.get("slack")
         two_sided = cfg.get("two_sided", False)
 
@@ -484,8 +482,7 @@ class ScenarioRuntime:
     def make_bettor(self, i: int):
         if "constant" in self.scenario.betting:
             return ConstantBettor(float(self.scenario.betting["constant"]))
-        return CBCEBettor(self.bet_intervals[i], self.o_bounds[i], k=self.bet_grid,
-                          layout=self.cbce_layout)
+        return CBCEBettor(self.bet_intervals[i], self.o_bounds[i], k=self.bet_grid)
 
 
 @dataclass(frozen=True)
@@ -628,7 +625,8 @@ def run_experiment(scenario: Scenario, runs: int, master_seed: int,
     per = math.ceil(runs / parallelism)
     chunks = [pairs[i:i + per] for i in range(0, runs, per)]
     results = []
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    # fork starts every worker up front, so open no more than there are chunks
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(_run_chunk, scenario, chunk) for chunk in chunks]
         for fut in futures:
             results.extend(fut.result())
@@ -652,15 +650,7 @@ class SummaryStats:
     d_star_reference: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "mean_run_length": self.mean_run_length,
-            "mean_delay": self.mean_delay,
-            "delay_quantiles": self.delay_quantiles,
-            "false_alarm_fraction": self.false_alarm_fraction,
-            "censored_fraction": self.censored_fraction,
-            "d_star_reference": self.d_star_reference,
-        }
+        return asdict(self)
 
 
 def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None,
@@ -740,15 +730,7 @@ def _normalize_floats(obj):
 
 
 def trial_to_dict(r: TrialResult) -> dict:
-    return {
-        "run_index": r.run_index,
-        "seed": r.seed,
-        "stop_time": r.stop_time,
-        "censored": r.censored,
-        "false_alarm": r.false_alarm,
-        "delay": r.delay,
-        "nu": r.nu,
-    }
+    return asdict(r)
 
 
 def results_csv(scenario: Scenario, results) -> str:

@@ -64,9 +64,7 @@ from .qcore import (
     kron_all,
 )
 
-#: basis labels for the local ensemble, index 0/1/2 = Z/X/Y
-BASIS_LETTERS = "ZXY"
-#: gate rotating each basis onto the computational one
+#: gate rotating each basis onto the computational one, index 0/1/2 = Z/X/Y
 BASIS_GATES = (PAULI_I.copy(), HADAMARD.copy(), HADAMARD @ PHASE_S.conj().T)
 #: per-qubit snapshot 3|psi><psi| - I of the Pauli eigenstate with code 2b + x,
 #: psi = U_b^dag |x>, the row x of conj(U_b)

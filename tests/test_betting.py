@@ -385,16 +385,36 @@ def test_cbce_experts_are_the_covering_intervals():
         o_prev = float(rng.uniform(-3.0, 3.0))
 
 
-def test_cbce_bettors_share_a_layout():
-    interval = bt.lambda_interval((-3.0, 3.0))
-    layout = bt.CBCELayout()
-    shared = [bt.CBCEBettor(interval, (-3.0, 3.0), layout=layout) for _ in range(2)]
-    alone = bt.CBCEBettor(interval, (-3.0, 3.0))
-    o_prev = None
-    for o in np.random.default_rng(3).uniform(-3.0, 3.0, size=300).tolist():
-        lams = [b.step(o_prev) for b in shared + [alone]]
-        assert lams[0] == lams[1] == lams[2]
-        o_prev = o
+def test_cbce_bettors_share_the_birth_order_cache():
+    # birth order, normalized priors and block rows are cached per t for the
+    # whole process; bettors of other grids and intervals stepped
+    # interleaved must bet as each does alone
+    configs = [
+        (bt.lambda_interval((-3.0, 3.0)), (-3.0, 3.0), bt.UP_GRID_SIZE, None),
+        (bt.lambda_interval((-1.0, 9.0)).nonnegative(), (-1.0, 9.0), 7, None),
+        (bt.lambda_interval((-2.0, 5.0)), (-2.0, 5.0), 7, bt.LOOKAHEAD_BLOCK),
+        (bt.lambda_interval((-1.0, 9.0)), (-1.0, 9.0), bt.UP_GRID_SIZE, "mixed"),
+    ]
+    steps = 700
+    rng = np.random.default_rng(3)
+    streams = [rng.uniform(*bounds, size=steps).tolist() for _, bounds, _, _ in configs]
+    blocks = [_block_lengths(schedule, steps) for *_, schedule in configs]
+
+    def trace(bettor, stream, opens, t):
+        ahead = stream[t - 1:t + opens[t] - 2] if t in opens else None
+        lam = bettor.step(None if t == 1 else stream[t - 2], ahead)
+        return lam, bettor.last_weights.tobytes()
+
+    bettors = [bt.CBCEBettor(iv, bounds, k) for iv, bounds, k, _ in configs]
+    together = [[] for _ in configs]
+    for t in range(1, steps + 1):
+        for b, stream, bl, out in zip(bettors, streams, blocks, together):
+            out.append(trace(b, stream, bl, t))
+    for (iv, bounds, k, _), stream, bl, want in zip(configs, streams, blocks, together):
+        bt._birth_order.cache_clear()
+        bt._block_index.cache_clear()
+        alone = bt.CBCEBettor(iv, bounds, k)
+        assert [trace(alone, stream, bl, t) for t in range(1, steps + 1)] == want
 
 
 def sar_ratio(t_len, rng):

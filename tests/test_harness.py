@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -213,6 +214,38 @@ def test_run_experiment_is_parallelism_invariant():
     serial = hz.run_experiment(sc, 8, master_seed=5, parallelism=1)
     parallel = hz.run_experiment(sc, 8, master_seed=5, parallelism=4)
     assert serial == parallel
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs each task at submit, in
+    this process, and records the pool size asked for."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("runs, parallelism, chunks", [(2, 4, 2), (5, 4, 3), (6, 3, 3)])
+def test_run_experiment_pool_is_no_larger_than_its_chunks(monkeypatch, runs, parallelism,
+                                                         chunks):
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(hz, "ProcessPoolExecutor", _InProcessPool)
+    sc = scenario(run_cap=100)
+    got = hz.run_experiment(sc, runs, master_seed=5, parallelism=parallelism)
+    assert _InProcessPool.sizes == [chunks]
+    assert got == hz.run_experiment(sc, runs, master_seed=5, parallelism=1)
 
 
 def test_run_experiment_single_run_matches_run_trial():
