@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .shadows import can_enumerate, estimator_bounds, outcome_distribution, sample_estimates, value_range
+from .shadows import DirectSampler, estimate_table, outcome_probabilities
 
 UP_GRID_SIZE = 64
 GROWTH_GRID_SIZE = 201
@@ -429,6 +429,27 @@ def growth_estimate(grid_curves) -> GrowthEstimate:
     )
 
 
+def exact_growth(outcomes, intervals) -> GrowthEstimate:
+    """Growth estimate from each observable's exact outcome distribution, a
+    (probs, values) pair, over its betting interval."""
+    return growth_estimate(growth_curve(probs, values, iv)
+                           for (probs, values), iv in zip(outcomes, intervals))
+
+
+def sampled_growth(draw, intervals, shots: int, rng) -> GrowthEstimate:
+    """Monte Carlo growth estimate from ``shots`` estimate rows, one column
+    per betting interval; ``draw(rng, count)`` returns ``count`` rows."""
+    if shots < 1:
+        raise ValueError(f"need at least one shot, got {shots!r}")
+    grids = [_growth_grid(iv) for iv in intervals]
+    sums = [np.zeros(GROWTH_GRID_SIZE) for _ in grids]
+    for done in range(0, shots, _MC_CHUNK):
+        block = draw(rng, min(_MC_CHUNK, shots - done))
+        for i, grid in enumerate(grids):
+            sums[i] += np.log1p(block[:, [i]] * grid[None, :]).sum(axis=0)
+    return growth_estimate(zip(grids, (s / shots for s in sums)))
+
+
 def estimate_growth_rate(
     rho1,
     observables,
@@ -443,37 +464,12 @@ def estimate_growth_rate(
     Uses the exact outcome distribution whenever the ensemble/width pair
     is enumerable, Monte Carlo with ``shots`` draws otherwise.
     """
-    if shots < 1:
-        raise ValueError(f"need at least one shot, got {shots!r}")
     if len(observables) == 0:
         raise ValueError("need at least one observable")
-    d = rho1.n_qubits
-    enumerable = can_enumerate(kind, d)
-    if bounds_mode == "auto":
-        bounds_mode = "exhaustive" if enumerable else "analytic"
-
-    if enumerable:
-        probs, values = outcome_distribution(rho1, observables, kind)
-    if enumerable and bounds_mode == "exhaustive":
-        bounds = value_range(values)
-    else:
-        bounds = [estimator_bounds(obs, kind, mode=bounds_mode) for obs in observables]
-    intervals = [lambda_interval(b, slack) for b in bounds]
-
-    n = len(observables)
-    if enumerable:
-        return growth_estimate(growth_curve(probs, values[:, i], intervals[i])
-                               for i in range(n))
-    grids = [_growth_grid(iv) for iv in intervals]
-    rng = np.random.default_rng(rng)
-    sums = [np.zeros(GROWTH_GRID_SIZE) for _ in range(n)]
-    done = 0
-    while done < shots:
-        take = min(_MC_CHUNK, shots - done)
-        block = np.empty((take, n))
-        for s in range(take):
-            block[s] = sample_estimates(rho1, observables, kind, rng)
-        for i in range(n):
-            sums[i] += np.log1p(block[:, [i]] * grids[i][None, :]).sum(axis=0)
-        done += take
-    return growth_estimate(zip(grids, (s / shots for s in sums)))
+    values, ranges = estimate_table(observables, kind, rho1.n_qubits, bounds_mode)
+    intervals = [lambda_interval(b, slack) for b in ranges]
+    if values is None:
+        return sampled_growth(DirectSampler(rho1, observables, kind).draw, intervals, shots,
+                              np.random.default_rng(rng))
+    probs = outcome_probabilities(rho1, kind)
+    return exact_growth([(probs, column) for column in values.T], intervals)

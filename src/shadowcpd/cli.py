@@ -113,8 +113,11 @@ def _cmd_sweep(args):
     _require_counts(args, "runs", "parallelism")
     base = _load_scenario(args.scenario).to_dict()
     try:
-        values = [json.loads(v) for v in args.values.split(",")]
-    except json.JSONDecodeError as exc:
+        # the values are the items of one JSON array, so a value may hold commas
+        values = json.loads("[" + args.values + "]")
+        if not values:
+            raise ValueError("no value given")
+    except ValueError as exc:
         raise SystemExit2(f"cannot parse sweep values {args.values!r}: {exc}")
     if args.out:
         _check_writable(args.out)
@@ -140,9 +143,11 @@ def _cmd_sweep(args):
                                          runtime=runtime)
         stats = harness.summarize(results, scenario, runtime)
         qs = stats.delay_quantiles or {}
+        cell = json.dumps(value)
         row = [
             args.param,
-            json.dumps(value),
+            # CSV-quoted only when the value's JSON holds a comma
+            '"' + cell.replace('"', '""') + '"' if "," in cell else cell,
             str(stats.runs),
             harness._fmt_float(stats.mean_run_length),
             "" if stats.mean_delay is None else harness._fmt_float(stats.mean_delay),
@@ -314,7 +319,8 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="rerun a scenario across parameter values")
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--param", required=True, help="dotted field path, e.g. theta1")
-    p_sweep.add_argument("--values", required=True, help="comma-separated JSON values")
+    p_sweep.add_argument("--values", required=True,
+                         help="comma-separated JSON values, e.g. 0.5,1.0 or [0.5,0.5],[0.25,0.75]")
     p_sweep.add_argument("--runs", type=int, default=100)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--parallelism", type=int, default=1)

@@ -14,7 +14,7 @@ import json
 import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,46 +25,26 @@ from .betting import (
     GROWTH_SHOTS,
     GrowthEstimate,
     UP_GRID_SIZE,
-    estimate_growth_rate,
-    growth_curve,
-    growth_estimate,
+    exact_growth,
     lambda_interval,
     lookahead_block,
+    sampled_growth,
 )
 from .edetect import CUSUM, DetectorConfig, SR, SequentialDetector, uniform_weights
 from .matched import ProjectiveMeasurement, UCBStats, UCB_DEFAULT_DELTA, select_index
 from .qcore import DensityMatrix, Observable, make_theta_state, rotated_observable
 from .shadows import (
+    DirectSampler as _DirectSampler,
     MAX_JOINT_QUBITS,
     MAX_LOCAL_QUBITS,
-    can_enumerate,
-    estimator_bounds,
+    estimate_table,
     outcome_probabilities,
-    outcome_values,
-    sample_estimates,
-    value_range,
+    resolve_bounds_mode,
 )
 
 POLICIES = ("escd", "emcd_rr", "emcd_ucb")
 ENSEMBLES = ("local", "joint")
 BOUNDS_MODES = ("auto", "analytic", "exhaustive")
-
-_SCENARIO_KEYS = (
-    "d",
-    "ensemble",
-    "observables",
-    "theta0",
-    "theta1",
-    "nu",
-    "alpha",
-    "detector",
-    "weights",
-    "betting",
-    "policy",
-    "run_cap",
-    "bounds_mode",
-)
-_REQUIRED_KEYS = ("d", "ensemble", "observables", "theta0", "theta1", "nu", "alpha", "policy")
 
 CSV_COLUMNS = (
     "run_index",
@@ -110,9 +90,17 @@ def _is_real(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Complete description of one detection experiment."""
+    """Complete description of one detection experiment.
+
+    The fields before ``ucb_delta`` are those of the scenario document, in
+    the order ``to_dict`` writes them; a field without a default is
+    required.  Construction validates every field and stores its canonical
+    form: reals as floats, weights as a tuple, the betting block with every
+    field filled in, the run cap 20 ceil(1/alpha) for null, and the policy
+    object {"emcd_ucb": {"delta": ...}} as the policy name and ``ucb_delta``.
+    """
 
     d: int
     ensemble: str
@@ -121,15 +109,20 @@ class Scenario:
     theta1: float
     nu: int | None
     alpha: float
-    policy: str
     detector: str = SR
     weights: object = "uniform"
     betting: dict = field(default_factory=lambda: {"cbce": {}})
+    policy: str
     run_cap: int | None = None
     bounds_mode: str = "auto"
     ucb_delta: float = UCB_DEFAULT_DELTA
 
     def __post_init__(self):
+        if isinstance(self.policy, dict):
+            self._read_policy_object()
+        for name in ("theta0", "theta1", "alpha"):
+            if _is_real(getattr(self, name)):
+                object.__setattr__(self, name, float(getattr(self, name)))
         _require(_is_int(self.d) and self.d >= 1, "scenario.d", "must be an integer >= 1")
         _require(self.ensemble in ENSEMBLES, "scenario.ensemble", f"must be one of {ENSEMBLES}")
         if self.ensemble == "local":
@@ -160,6 +153,19 @@ class Scenario:
                  f"must be one of {BOUNDS_MODES}")
         _require(isinstance(self.ucb_delta, float) and 0.0 < self.ucb_delta < 1.0,
                  "scenario.ucb_delta", "must be a real in (0, 1)")
+
+    def _read_policy_object(self):
+        policy = self.policy
+        _require(len(policy) == 1 and "emcd_ucb" in policy, "scenario.policy",
+                 'object form must be {"emcd_ucb": {"delta": ...}}')
+        cfg = policy["emcd_ucb"]
+        _require(isinstance(cfg, dict), "scenario.policy.emcd_ucb", "must be an object")
+        for k in cfg:
+            _require(k == "delta", f"scenario.policy.emcd_ucb.{k}", "unknown field")
+        if "delta" in cfg:
+            _require(_is_real(cfg["delta"]), "scenario.policy.emcd_ucb.delta", "must be a real")
+            object.__setattr__(self, "ucb_delta", float(cfg["delta"]))
+        object.__setattr__(self, "policy", "emcd_ucb")
 
     def _validate_observables(self):
         obs = self.observables
@@ -233,70 +239,25 @@ class Scenario:
         return len(self.observables["matrices"])
 
     def to_dict(self) -> dict:
-        policy = self.policy
-        if policy == "emcd_ucb":
-            policy = {"emcd_ucb": {"delta": self.ucb_delta}}
-        weights = self.weights if self.weights == "uniform" else list(self.weights)
-        return {
-            "d": self.d,
-            "ensemble": self.ensemble,
-            "observables": _copy_jsonish(self.observables),
-            "theta0": self.theta0,
-            "theta1": self.theta1,
-            "nu": self.nu,
-            "alpha": self.alpha,
-            "detector": self.detector,
-            "weights": weights,
-            "betting": _copy_jsonish(self.betting),
-            "policy": policy,
-            "run_cap": self.run_cap,
-            "bounds_mode": self.bounds_mode,
-        }
+        doc = {f.name: _copy_jsonish(getattr(self, f.name)) for f in FIELDS}
+        if self.policy == "emcd_ucb":
+            doc["policy"] = {"emcd_ucb": {"delta": self.ucb_delta}}
+        return doc
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
         _require(isinstance(data, dict), "scenario", "must be a JSON object")
+        names = [f.name for f in FIELDS]
         for key in data:
-            _require(key in _SCENARIO_KEYS, f"scenario.{key}", "unknown field")
-        for key in _REQUIRED_KEYS:
-            _require(key in data, f"scenario.{key}", "missing required field")
-        policy = data["policy"]
-        ucb_delta = UCB_DEFAULT_DELTA
-        if isinstance(policy, dict):
-            _require(len(policy) == 1 and "emcd_ucb" in policy, "scenario.policy",
-                     'object form must be {"emcd_ucb": {"delta": ...}}')
-            cfg = policy["emcd_ucb"]
-            _require(isinstance(cfg, dict), "scenario.policy.emcd_ucb", "must be an object")
-            for k in cfg:
-                _require(k == "delta", f"scenario.policy.emcd_ucb.{k}", "unknown field")
-            if "delta" in cfg:
-                _require(_is_real(cfg["delta"]), "scenario.policy.emcd_ucb.delta",
-                         "must be a real")
-                ucb_delta = float(cfg["delta"])
-            policy = "emcd_ucb"
-        nu = data["nu"]
-        kwargs = {
-            "d": data["d"],
-            "ensemble": data["ensemble"],
-            "observables": _copy_jsonish(data["observables"]),
-            "theta0": float(data["theta0"]) if _is_real(data["theta0"]) else data["theta0"],
-            "theta1": float(data["theta1"]) if _is_real(data["theta1"]) else data["theta1"],
-            "nu": nu,
-            "alpha": float(data["alpha"]) if _is_real(data["alpha"]) else data["alpha"],
-            "policy": policy,
-            "ucb_delta": ucb_delta,
-        }
-        if "detector" in data:
-            kwargs["detector"] = data["detector"]
-        if "weights" in data:
-            kwargs["weights"] = data["weights"]
-        if "betting" in data:
-            kwargs["betting"] = _copy_jsonish(data["betting"])
-        if "run_cap" in data:
-            kwargs["run_cap"] = data["run_cap"]
-        if "bounds_mode" in data:
-            kwargs["bounds_mode"] = data["bounds_mode"]
-        return Scenario(**kwargs)
+            _require(key in names, f"scenario.{key}", "unknown field")
+        for f in FIELDS:
+            if f.default is MISSING and f.default_factory is MISSING:
+                _require(f.name in data, f"scenario.{f.name}", "missing required field")
+        return Scenario(**_copy_jsonish(data))
+
+
+#: the scenario document's fields in order, each required or with its default
+FIELDS = tuple(f for f in fields(Scenario) if f.name != "ucb_delta")
 
 
 def _copy_jsonish(obj):
@@ -366,19 +327,6 @@ class _TableSampler:
         return self.values[np.searchsorted(self.cum, rng.random(count), side="right")]
 
 
-class _DirectSampler:
-    """Fresh shadow measurement per drawn row; for non-enumerable configurations."""
-
-    def __init__(self, rho, observables, kind):
-        self.rho = rho
-        self.observables = observables
-        self.kind = kind
-
-    def draw(self, rng, count):
-        return np.array([sample_estimates(self.rho, self.observables, self.kind, rng)
-                         for _ in range(count)])
-
-
 class _EigenTable(_TableSampler):
     # eigenvalue outcomes with Born weights for one (observable, state) pair
     def __init__(self, pm: ProjectiveMeasurement, rho: DensityMatrix):
@@ -401,50 +349,29 @@ class ScenarioRuntime:
     betting intervals, detector config, and outcome samplers."""
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        sc = scenario
+        self.scenario = sc = scenario
         self.observables = build_observables(sc)
         self.n = len(self.observables)
-        weights = uniform_weights(self.n) if sc.weights == "uniform" else tuple(sc.weights)
+        weights = uniform_weights(self.n) if sc.weights == "uniform" else sc.weights
         self.detector_config = DetectorConfig(weights=weights, alpha=sc.alpha, kind=sc.detector)
         self.pre_state = make_theta_state(sc.d, sc.theta0)
         self.post_state = make_theta_state(sc.d, sc.theta1) if sc.nu is not None else None
-
-        enumerable = can_enumerate(sc.ensemble, sc.d)
-        mode = sc.bounds_mode
-        if mode == "auto":
-            mode = "exhaustive" if enumerable else "analytic"
-        elif mode == "exhaustive" and not enumerable:
-            _fail("scenario.bounds_mode",
-                  f"exhaustive bounds are not enumerable for ensemble={sc.ensemble!r}, d={sc.d}")
-        self.bounds_mode = mode
-
-        cfg = sc.betting.get("cbce", {})
-        self.bet_grid = cfg.get("grid", UP_GRID_SIZE)
-        slack = cfg.get("slack")
-        two_sided = cfg.get("two_sided", False)
+        try:
+            mode = resolve_bounds_mode(sc.ensemble, sc.d, sc.bounds_mode)
+        except ValueError as exc:
+            _fail("scenario.bounds_mode", str(exc))
 
         if sc.policy == "escd":
             # one estimate table serves the bounds and both states' samplers
-            values = outcome_values(self.observables, sc.ensemble, sc.d) if enumerable else None
-            if mode == "exhaustive":
-                self.o_bounds = value_range(values)
-            else:
-                self.o_bounds = [estimator_bounds(o, sc.ensemble, mode=mode)
-                                 for o in self.observables]
-            if enumerable:
-                self.pre_sampler = _TableSampler(
-                    outcome_probabilities(self.pre_state, sc.ensemble), values)
-                self.post_sampler = (
-                    _TableSampler(outcome_probabilities(self.post_state, sc.ensemble), values)
-                    if self.post_state is not None else None
-                )
-            else:
-                self.pre_sampler = _DirectSampler(self.pre_state, self.observables, sc.ensemble)
-                self.post_sampler = (
-                    _DirectSampler(self.post_state, self.observables, sc.ensemble)
-                    if self.post_state is not None else None
-                )
+            values, self.o_bounds = estimate_table(self.observables, sc.ensemble, sc.d, mode)
+
+            def sampler(rho):
+                if values is None:
+                    return _DirectSampler(rho, self.observables, sc.ensemble)
+                return _TableSampler(outcome_probabilities(rho, sc.ensemble), values)
+
+            self.pre_sampler = sampler(self.pre_state)
+            self.post_sampler = sampler(self.post_state) if self.post_state is not None else None
             self.pre_tables = self.post_tables = None
         else:
             measurements = [ProjectiveMeasurement(o) for o in self.observables]
@@ -460,19 +387,21 @@ class ScenarioRuntime:
             _require(lower < 0.0 < upper, "scenario.observables",
                      f"observable {i} has estimate range [{lower!r}, {upper!r}], "
                      "which must straddle 0 for sign-indefinite betting")
+        cbce = sc.betting.get("cbce")  # None under a constant bet
+        # a constant bet is checked against the intervals of the default slack
+        slack = cbce["slack"] if cbce is not None else None
         try:
             self.full_intervals = [lambda_interval(b, slack) for b in self.o_bounds]
-            if two_sided:
-                self.bet_intervals = self.full_intervals
-            else:
-                self.bet_intervals = [iv.nonnegative() for iv in self.full_intervals]
-            # a bettor checks at construction that its bets keep every multiplier positive
-            for i in range(self.n):
-                self.make_bettor(i)
+            if cbce is not None:
+                self.bet_intervals = (self.full_intervals if cbce["two_sided"] else
+                                      [iv.nonnegative() for iv in self.full_intervals])
+                # a bettor checks at construction that its bets keep every multiplier positive
+                for i in range(self.n):
+                    self.make_bettor(i)
         except ValueError as exc:
             _fail("scenario.betting.cbce.slack", str(exc))
-        if "constant" in sc.betting:
-            lam = float(sc.betting["constant"])
+        if cbce is None:
+            lam = sc.betting["constant"]
             for i, iv in enumerate(self.full_intervals):
                 if not iv.contains(lam):
                     _fail("scenario.betting.constant",
@@ -480,9 +409,10 @@ class ScenarioRuntime:
                           f"[{iv.lo!r}, {iv.hi!r}] of observable {i}")
 
     def make_bettor(self, i: int):
-        if "constant" in self.scenario.betting:
-            return ConstantBettor(float(self.scenario.betting["constant"]))
-        return CBCEBettor(self.bet_intervals[i], self.o_bounds[i], k=self.bet_grid)
+        betting = self.scenario.betting
+        if "constant" in betting:
+            return ConstantBettor(betting["constant"])
+        return CBCEBettor(self.bet_intervals[i], self.o_bounds[i], k=betting["cbce"]["grid"])
 
 
 @dataclass(frozen=True)
@@ -659,7 +589,8 @@ def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None,
     makes, over the full betting intervals its bettors are built from.
 
     Exact over the runtime's post-change outcome tables; Monte Carlo with
-    ``shots`` draws only for shadows that cannot be enumerated.
+    ``shots`` rows of its direct sampler for shadows that cannot be
+    enumerated.
     """
     if scenario.nu is None:
         _fail("scenario.nu", "growth requires a finite changepoint (post-change state)")
@@ -668,14 +599,11 @@ def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None,
         outcomes = [(table.probs, table.values) for table in rt.post_tables]
     elif isinstance(rt.post_sampler, _TableSampler):
         table = rt.post_sampler
-        outcomes = [(table.probs, table.values[:, i]) for i in range(rt.n)]
+        outcomes = [(table.probs, column) for column in table.values.T]
     else:
-        return estimate_growth_rate(
-            rt.post_state, rt.observables, scenario.ensemble, shots=shots, rng=rng,
-            slack=scenario.betting.get("cbce", {}).get("slack"), bounds_mode=rt.bounds_mode,
-        )
-    return growth_estimate(growth_curve(probs, values, iv)
-                           for (probs, values), iv in zip(outcomes, rt.full_intervals))
+        return sampled_growth(rt.post_sampler.draw, rt.full_intervals, shots,
+                              np.random.default_rng(rng))
+    return exact_growth(outcomes, rt.full_intervals)
 
 
 def _growth_reference(scenario: Scenario, runtime: ScenarioRuntime | None) -> float | None:
@@ -798,35 +726,28 @@ def emit_results(scenario: Scenario, results, stats: SummaryStats, fmt: str,
 # presets mirroring the reference experiments
 
 
-def _base_preset(**overrides) -> dict:
-    base = {
-        "d": 2,
-        "ensemble": "local",
-        "observables": {"rotated": 1},
-        "theta0": -0.5,
-        "theta1": 1.0,
-        "nu": None,
-        "alpha": 1e-3,
-        "detector": SR,
-        "weights": "uniform",
-        "betting": {"cbce": {}},
-        "policy": "escd",
-        "run_cap": 5000,
-        "bounds_mode": "auto",
-    }
-    base.update(overrides)
-    return base
-
+#: the fields every preset gives; the others keep their defaults
+_BASE_PRESET = {
+    "d": 2,
+    "ensemble": "local",
+    "observables": {"rotated": 1},
+    "theta0": -0.5,
+    "theta1": 1.0,
+    "nu": None,
+    "alpha": 1e-3,
+    "policy": "escd",
+    "run_cap": 5000,
+}
 
 _PRESETS = {
     # ARL under the null: theta0 is the sweep axis
-    "fig3-left": _base_preset(),
+    "fig3-left": _BASE_PRESET,
     # delay versus post-change angle: theta1 is the sweep axis
-    "fig3-right": _base_preset(nu=200),
+    "fig3-right": dict(_BASE_PRESET, nu=200),
     # observable-count crossover: observables.rotated is the sweep axis
-    "fig4": _base_preset(nu=200, observables={"rotated": 8}),
+    "fig4": dict(_BASE_PRESET, nu=200, observables={"rotated": 8}),
     # measurement-ensemble gap at d=3: ensemble is the comparison axis
-    "fig5": _base_preset(nu=200, d=3, theta1=0.8),
+    "fig5": dict(_BASE_PRESET, nu=200, d=3, theta1=0.8),
 }
 for _name in list(_PRESETS):
     _PRESETS["desk-" + _name] = dict(_PRESETS[_name], alpha=1e-2, run_cap=2000)
@@ -839,4 +760,4 @@ def preset_scenario(name: str) -> Scenario:
     """A ready-made scenario; desk-* variants run at 1/alpha = 100, cap 2000."""
     if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
-    return Scenario.from_dict(_copy_jsonish(_PRESETS[name]))
+    return Scenario.from_dict(_PRESETS[name])

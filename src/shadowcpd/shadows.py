@@ -40,9 +40,10 @@ the same lookup, so a state gets the same estimate bits from the table as
 from any Clifford that measures it.  Sp(2d, 2) is held in one form only,
 its rows as bit-packed integers, and a tableau has one lift, ``_lift``.
 ``clifford_group`` applies that lift to every tableau at d <= 2 and stays
-as the oracle that the folded stabilizer table is checked against.  The construction is validated by the exact depolarizing-channel
-identity, which this module can also evaluate by full enumeration for
-small registers.
+as the oracle that the folded stabilizer table is checked against.  The
+construction is validated by the exact depolarizing-channel identity,
+which this module can also evaluate by full enumeration for small
+registers.
 """
 
 from __future__ import annotations
@@ -460,6 +461,30 @@ def value_range(values):
     return list(zip(values.min(axis=0).tolist(), values.max(axis=0).tolist()))
 
 
+def resolve_bounds_mode(kind, d, mode):
+    """The bounds mode that ``mode`` stands for on a d-qubit register:
+    ``auto`` is exhaustive where the outcomes can be enumerated and analytic
+    elsewhere; exhaustive bounds of a wider register raise ValueError."""
+    enumerable = can_enumerate(kind, d)
+    if mode == "auto":
+        return "exhaustive" if enumerable else "analytic"
+    if mode == "exhaustive" and not enumerable:
+        raise ValueError(f"exhaustive bounds are not enumerable for ensemble={kind!r}, d={d}")
+    return mode
+
+
+def estimate_table(observables, kind, d, mode="auto"):
+    """(values, ranges): the ``outcome_values`` table where the register can
+    be enumerated, else None, and the (lower, upper) estimate range of each
+    observable under the bounds ``mode``; exhaustive ranges are read off the
+    table."""
+    mode = resolve_bounds_mode(kind, d, mode)
+    values = outcome_values(observables, kind, d) if can_enumerate(kind, d) else None
+    if mode == "exhaustive":
+        return values, value_range(values)
+    return values, [estimator_bounds(o, kind, mode=mode) for o in observables]
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration of the measurement distribution
 
@@ -538,3 +563,17 @@ def sample_estimates(rho, observables, kind, rng):
     else:
         state = setting[bits_to_index(bits)].conj()
     return _estimates(kind, state[None], observables)[0]
+
+
+class DirectSampler:
+    """Estimate rows of fresh shadow measurements of ``rho``, one per row;
+    for registers whose outcomes are not enumerated."""
+
+    def __init__(self, rho, observables, kind):
+        self.rho = rho
+        self.observables = observables
+        self.kind = kind
+
+    def draw(self, rng, count):
+        return np.array([sample_estimates(self.rho, self.observables, self.kind, rng)
+                         for _ in range(count)])

@@ -1,6 +1,8 @@
 """Command-line behavior: subcommands, exit codes, emitted formats."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -162,6 +164,26 @@ def test_sweep_emits_one_row_per_value(scenario_file, capsys):
     assert first[0] == "theta1"
     assert first[1] == "0.5"
     assert first[2] == "3"
+
+
+@pytest.mark.parametrize("param, values, want", [
+    ("weights", "[0.5,0.5],[0.25,0.75]", [[0.5, 0.5], [0.25, 0.75]]),
+    ("betting", '{"cbce": {"grid": 8, "slack": 0.01}}', [{"cbce": {"grid": 8, "slack": 0.01}}]),
+])
+def test_sweep_values_may_hold_commas(param, values, want, tmp_path, capsys):
+    # the values are one JSON array's items; a value cell holding a comma is CSV-quoted
+    path = tmp_path / "two_observables.json"
+    path.write_text(json.dumps(dict(BASE, observables={"rotated": 2})), encoding="utf-8")
+    rc = cli.main(["sweep", "--scenario", str(path), "--param", param, "--values", values,
+                   "--runs", "2"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1 + len(want)
+    assert all(len(row) == len(rows[0]) == 13 for row in rows)
+    assert [row[0] for row in rows[1:]] == [param] * len(want)
+    assert [json.loads(row[1]) for row in rows[1:]] == want
+    # an empty list sweeps nothing and is bad input
+    assert cli.main(["sweep", "--scenario", str(path), "--param", param, "--values", ""]) == 2
 
 
 def test_sweep_rejects_unknown_param(scenario_file, capsys):

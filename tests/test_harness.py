@@ -57,11 +57,36 @@ def test_nested_unknown_field_rejected():
         hz.Scenario.from_dict(doc)
 
 
+#: the fields a scenario document must give (README "Scenario fields")
+REQUIRED_FIELDS = ("d", "ensemble", "observables", "theta0", "theta1", "nu", "alpha", "policy")
+
+#: the other fields with their documented defaults; run_cap is 20 ceil(1/alpha)
+OPTIONAL_DEFAULTS = {
+    "detector": "sr",
+    "weights": "uniform",
+    "betting": {"cbce": {"grid": 64, "slack": None, "two_sided": False}},
+    "run_cap": 20 * math.ceil(1 / BASE["alpha"]),
+    "bounds_mode": "auto",
+}
+
+
 def test_missing_required_field():
-    doc = dict(BASE)
-    del doc["alpha"]
-    with pytest.raises(hz.ScenarioError, match="alpha"):
-        hz.Scenario.from_dict(doc)
+    for key in REQUIRED_FIELDS:
+        doc = dict(BASE)
+        del doc[key]
+        with pytest.raises(hz.ScenarioError, match=rf"^scenario\.{key}: missing required field$"):
+            hz.Scenario.from_dict(doc)
+
+
+def test_omitted_optional_field_takes_its_documented_default():
+    assert [f.name for f in hz.FIELDS if f.name not in OPTIONAL_DEFAULTS] == list(REQUIRED_FIELDS)
+    assert {f.name for f in hz.FIELDS} == set(REQUIRED_FIELDS) | set(OPTIONAL_DEFAULTS)
+    given = dict(BASE, detector="cusum", weights=[1.0], betting={"constant": 0.1},
+                 run_cap=100, bounds_mode="analytic")
+    for key, default in OPTIONAL_DEFAULTS.items():
+        doc = dict(given)
+        del doc[key]
+        assert hz.Scenario.from_dict(doc).to_dict()[key] == default, key
 
 
 def test_pre_change_mean_must_be_nonpositive():
