@@ -227,6 +227,14 @@ class _RefEntry:
     backed: bool = False
 
 
+def ref_up_bets(log_wealth, grid):
+    """Universal-portfolio bets of each log-wealth row, as the production
+    ``_up_bets`` computed them when this oracle was frozen."""
+    shift = log_wealth.max(axis=-1, keepdims=True)
+    w = np.exp(log_wealth - shift)
+    return (w @ grid) / w.sum(axis=-1)
+
+
 class ReferenceCBCE:
     """Plain CBCE: a list of per-interval expert records in birth order,
     filtered and extended from ``covering_intervals`` at every step.  The
@@ -269,7 +277,7 @@ class ReferenceCBCE:
             self.log_wealth = np.vstack([self.log_wealth, np.zeros((len(born), self.k))])
         prior = np.array([1.0 / (e.t1 * e.t1 * (1 + int(math.log2(e.t1)))) for e in self.entries])
         prior /= prior.sum()
-        lams = bt._up_bets(self.log_wealth, self.grid)
+        lams = ref_up_bets(self.log_wealth, self.grid)
         raw = np.empty(len(self.entries))
         for i, e in enumerate(self.entries):
             e.beta = e.sum_g / (e.rounds + 1)
@@ -290,6 +298,10 @@ def _oracle_streams(lower, upper, steps):
         "uniform": rng.uniform(lower, upper, size=steps).tolist(),
         "extremes": [lower if t % 2 else upper for t in range(steps)],
         "zeros": [0.0] * steps,
+        # two values only, as a matched bettor's eigenvalue outcomes
+        "two-valued": rng.choice([-0.75, 2.5], size=steps).tolist(),
+        # signed zeros among a few repeated values
+        "signed-zeros": rng.choice([0.0, -0.0, 0.5, -0.5], size=steps).tolist(),
     }
 
 

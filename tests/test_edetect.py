@@ -276,10 +276,11 @@ class ReferenceDetector:
 
 
 @pytest.mark.parametrize("kind", [ed.SR, ed.CUSUM])
-@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("n", [1, 3, 8])
 def test_detector_matches_reference_bit_for_bit(kind, n):
-    # dense rows for one observable, one-hot sparse rows for eight; 3e12
-    # multipliers push statistics through PROMOTE_AT into the log offsets
+    # one observable, dense rows for three (each observable its own
+    # multiplier), one-hot sparse rows for eight; 3e12 multipliers push
+    # statistics through PROMOTE_AT into the log offsets
     rng = np.random.default_rng(1000 + n)
     for alpha in (1e-300, 0.01):
         config = ed.DetectorConfig(weights=ed.uniform_weights(n), alpha=alpha, kind=kind)
@@ -289,6 +290,8 @@ def test_detector_matches_reference_bit_for_bit(kind, n):
             mult = 3e12 if rng.random() < 0.02 else float(np.exp(rng.normal(0.0, 0.3)))
             row = [None] * n
             row[int(rng.integers(n))] = mult
+            if n == 3:
+                row = [x if x is not None else float(np.exp(rng.normal(0.0, 0.3))) for x in row]
             stop = det.advance(row)
             mixture, ref_stop = ref.advance(row)
             assert det.mixture() == mixture, (alpha, t)

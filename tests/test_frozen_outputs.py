@@ -2,7 +2,10 @@
 
 The digests pin the preset documents, the scenario block echoed into JSON
 results, and the growth reports, so a change to how scenarios are parsed,
-defaulted or resolved cannot alter what they print.
+defaulted or resolved cannot alter what they print.  They also pin the CSV
+and the JSON summary of short seeded batches of the benchmark's scenarios,
+so a change to the per-step arithmetic of betting, detection or sampling
+cannot move a trajectory unnoticed.
 """
 
 import hashlib
@@ -68,6 +71,30 @@ GROWTH_RUNS = {
                              "e635a5f6ef8b3ccecf9ba3f4558c6c230251677ae0d6d4ac4f1e3fc34624a853"),
 }
 
+#: the benchmark's scenario document (bench/run.py), restated so the pins
+#: do not follow edits to the benchmark
+BENCH_BASE = {"d": 2, "ensemble": "local", "observables": {"rotated": 1}, "theta0": -0.5,
+              "theta1": 1.0, "nu": None, "alpha": 0.01, "policy": "escd", "run_cap": 2000}
+
+#: (overrides of BENCH_BASE, runs at master seed 1, CSV digest, summary digest)
+BENCH_BATCHES = {
+    "null-arl-sr": ({"detector": "sr"}, 4,
+                    "31c65ccfddb83b30bc8b34abb3c136b538889fd3292edd1120ce4bf5f86d20ff",
+                    "e792fe32b3e31c14b0d02630af269edeb43a87c79cda86e23f48df5c8c630a8a"),
+    "null-arl-cusum": ({"detector": "cusum"}, 4,
+                       "80fb3034f19016293998ccc825a5b7080196bd4f92921fb6c19341ff5ff2a344",
+                       "7019b7ab07446a8bbed0e3c093b61a6f0803bf4b11a3e2b4859adcad0d8fecb9"),
+    "ucb-n8": ({"policy": "emcd_ucb", "observables": {"rotated": 8}, "nu": 200}, 20,
+               "09b53ff1e0f6a93bace3c39294a321f4f65fb1742d732316bd3e608f7ed090de",
+               "6dcb21893e41b5a13250a7d92fbd8953839208a18d7f73acb8408a48c8b7f0fd"),
+    "joint-d2": ({"ensemble": "joint", "theta1": 0.8, "nu": 50}, 40,
+                 "df753b36bc3dc556b1be3bd11558cbeeb8c28f94141132474dc30daf08354f25",
+                 "b130b21337ebe148a3f20676373260ba058075299bf1fe8fbea9c9c54d1a5db7"),
+    "joint-d3": ({"ensemble": "joint", "theta1": 0.8, "nu": 50, "d": 3}, 40,
+                 "00493561ae630155fab825d36bb753e71bfab8e7c8d486f2ceca688a2ada851f",
+                 "4473ab8079a55c53c4d5927f4e5b609ab754f682215ee019b795ea5101ba9908"),
+}
+
 
 @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
 def test_preset_documents_are_frozen(name, capsys):
@@ -92,3 +119,13 @@ def test_growth_reports_are_frozen(case, tmp_path, capsys):
     path.write_text(json.dumps(dict(BASE, **overrides)), encoding="utf-8")
     assert cli.main(["growth", "--scenario", str(path), *flags]) == 0
     assert sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_BATCHES))
+def test_benchmark_batches_are_frozen(case):
+    overrides, runs, csv_digest, summary_digest = BENCH_BATCHES[case]
+    sc = hz.Scenario.from_dict(dict(BENCH_BASE, **overrides))
+    results = hz.run_experiment(sc, runs, master_seed=1)
+    assert sha(hz.results_csv(sc, results)) == csv_digest
+    doc = json.loads(hz.results_json(sc, results, hz.summarize(results, sc)))
+    assert sha(json.dumps(doc["summary"])) == summary_digest
