@@ -34,6 +34,11 @@ LOOKAHEAD_BLOCK = 16
 
 _MC_CHUNK = 4096
 
+# estimate values whose grid increment a CBCE bettor keeps, each a row of
+# the grid: a matched bettor sees a handful of eigenvalues, a shadow bettor
+# the rows of its estimate table
+INCREMENT_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class LambdaInterval:
@@ -120,9 +125,10 @@ def _check_estimate(o_hat: float, o_bounds) -> None:
 def _up_bets(log_wealth: np.ndarray, grid: np.ndarray):
     """Universal-portfolio bet per row of log-wealth: the grid averaged
     with softmax(log_wealth) weights."""
-    shift = log_wealth.max(axis=-1, keepdims=True)
-    w = np.exp(log_wealth - shift)
-    return (w @ grid) / w.sum(axis=-1)
+    shift = np.maximum.reduce(log_wealth, axis=-1, keepdims=True)
+    w = np.subtract(log_wealth, shift)
+    np.exp(w, out=w)
+    return (w @ grid) / np.add.reduce(w, axis=-1)
 
 
 class UPExpert:
@@ -250,6 +256,14 @@ class CBCEBettor:
         self.last_lam = 0.0
         self.last_weights = np.zeros(0)
         self.loss_bound = self._loss_bound()
+        # constants of every step: the accepted estimate range, the bet clip,
+        # the loss scale, and np.log1p(grid * o) per estimate value o, keyed
+        # by value with the two zeros apart (their reprs)
+        lower, upper = o_bounds
+        self._accept = (lower - 1e-9, upper + 1e-9)
+        self._clip = (interval.lo, interval.hi)
+        self._scale = 2.0 * self.loss_bound
+        self._increments = {}
 
     def _loss_bound(self) -> float:
         lower, upper = self.o_bounds
@@ -290,7 +304,8 @@ class CBCEBettor:
         if o_prev is not None:
             o_hat = float(o_prev)
             if not in_block:
-                _check_estimate(o_hat, self.o_bounds)
+                if not self._accept[0] <= o_hat <= self._accept[1]:
+                    _check_estimate(o_hat, self.o_bounds)
             elif o_hat != self._ahead[t - self._block_start - 1]:
                 raise ValueError(f"step {t} got {o_hat!r}, not the estimate passed ahead")
             meta_loss = -math.log1p(self.last_lam * o_hat)
@@ -302,7 +317,13 @@ class CBCEBettor:
             lams_arr = self._block_bets[t - self._block_start - 1]
         else:
             if born < levels:
-                self._log_wealth[born:] += np.log1p(self.grid * o_hat)
+                key = o_hat or repr(o_hat)
+                inc = self._increments.get(key)
+                if inc is None:
+                    inc = np.log1p(self.grid * o_hat)
+                    if len(self._increments) < INCREMENT_CACHE_SIZE:
+                        self._increments[key] = inc
+                self._log_wealth[born:] += inc
                 self._log_wealth[:born] = 0.0
             lams_arr = _up_bets(self._log_wealth.take(order, axis=0), self.grid)
             if ahead is not None and len(ahead):
@@ -310,9 +331,9 @@ class CBCEBettor:
         lams = lams_arr.tolist()
         sum_g, wealth = self._sum_g, self._wealth
         beta, lam, backed = self._beta, self._lam, self._backed
-        scale = 2.0 * self.loss_bound
+        scale = self._scale
         raw = []
-        for i, lv in enumerate(order):
+        for lv, bet, prior in zip(order, lams, priors):
             if lv < born:
                 sum_g[lv] = 0.0
                 wealth[lv] = 1.0
@@ -330,19 +351,17 @@ class CBCEBettor:
             # the level-lv expert has absorbed t mod 2^lv rounds
             b = sum_g[lv] / ((t & ((1 << lv) - 1)) + 1)
             beta[lv] = b
-            lam[lv] = lams[i]
+            lam[lv] = bet
             stake = b * wealth[lv]
-            r = priors[i] * stake if stake > 0.0 else 0.0
+            r = prior * stake if stake > 0.0 else 0.0
             backed[lv] = r > 0.0
             raw.append(r)
         raw = np.array(raw)
-        total = raw.sum()
-        if total > 0.0:
-            weights = raw / total
-        else:
-            weights = np.array(priors)
+        total = np.add.reduce(raw)
+        weights = raw / total if total > 0.0 else np.array(priors)
         self.last_weights = weights
-        self.last_lam = self.interval.clip(float(weights @ lams_arr))
+        lo, hi = self._clip
+        self.last_lam = min(max(float(weights @ lams_arr), lo), hi)
         self.t = t + 1
         return self.last_lam
 
@@ -360,8 +379,7 @@ class CBCEBettor:
         if count >= lookahead_block(t):
             raise ValueError(f"a lookahead block of {count + 1} steps cannot start at step {t}")
         ahead = np.asarray(ahead, dtype=float)
-        lower, upper = self.o_bounds
-        if not (lower - 1e-9 <= ahead.min() and ahead.max() <= upper + 1e-9):
+        if not (self._accept[0] <= ahead.min() and ahead.max() <= self._accept[1]):
             for o in ahead.tolist():
                 _check_estimate(o, self.o_bounds)
         rows = np.zeros((count, levels, self.k))

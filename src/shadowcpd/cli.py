@@ -25,18 +25,26 @@ class SystemExit2(Exception):
     """Bad input; converted to exit code 2 at the top level."""
 
 
-def _load_scenario(path):
+def _read_document(path):
+    """The scenario document as written, parsed but not validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SystemExit2(f"cannot read scenario {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SystemExit2(f"scenario {path} is not valid JSON: {exc}")
+
+
+def _scenario_from(data):
     try:
         return harness.Scenario.from_dict(data)
     except harness.ScenarioError as exc:
         raise SystemExit2(str(exc))
+
+
+def _load_scenario(path):
+    return _scenario_from(_read_document(path))
 
 
 def _write_out(path, text):
@@ -111,7 +119,11 @@ def _set_path(data, dotted, value):
 
 def _cmd_sweep(args):
     _require_counts(args, "runs", "parallelism")
-    base = _load_scenario(args.scenario).to_dict()
+    written = _read_document(args.scenario)
+    base = _scenario_from(written).to_dict()
+    if written.get("run_cap") is None:
+        # a cap the document leaves to its default follows each swept alpha
+        base["run_cap"] = None
     try:
         # the values are the items of one JSON array, so a value may hold commas
         values = json.loads("[" + args.values + "]")

@@ -78,10 +78,13 @@ class SequentialDetector:
         n = config.n_observables
         self._w = np.asarray(config.weights, dtype=float)
         self._logw = np.log(self._w)
-        # per-observable mantissas and log offsets of the configured statistic
+        # per-observable mantissas and log offsets of the configured statistic;
+        # the mantissas are mirrored in an array that the mixture dot reads
         self._sr = config.kind == SR
         self._m = [0.0] * n
+        self._m_arr = np.zeros(n)
         self._off = [0.0] * n
+        self._promoted = False  # any offset nonzero
         self._threshold = config.threshold
         self._log_threshold = math.log(config.threshold)
         self.stopped = False
@@ -98,20 +101,20 @@ class SequentialDetector:
         if len(increments) != len(self._m):
             raise ValueError(f"expected {self.n_observables} increments, got {len(increments)}")
         self.t += 1
-        mant, off, sr = self._m, self._off, self._sr
+        mant, arr, off, sr = self._m, self._m_arr, self._off, self._sr
         for i, incr in enumerate(increments):
             if incr is None:
                 continue
             if not incr > 0.0:
                 raise ValueError(f"capital multiplier must be positive, got {incr!r}")
-            if sr:
-                m = incr * (mant[i] + math.exp(-off[i]))
-            else:
-                m = incr * max(mant[i], math.exp(-off[i]))
+            # 1 in the mantissa's scale; exp(-0.0) is exactly 1.0
+            one = math.exp(-off[i]) if off[i] else 1.0
+            m = incr * (mant[i] + one) if sr else incr * max(mant[i], one)
             while m > PROMOTE_AT:
                 m /= PROMOTE_AT
                 off[i] += _LOG_PROMOTE
-            mant[i] = m
+                self._promoted = True
+            mant[i] = arr[i] = m
         mixture, stop = self._decide()
         if stop:
             self.stopped = True
@@ -121,13 +124,13 @@ class SequentialDetector:
         return self._decide()[0]
 
     def _decide(self):
-        m, off = self._m, self._off
-        if not any(off):
+        m = self._m_arr
+        if not self._promoted:
             # exact in linear scale, so a boundary hit M == threshold stops
             mixture = float(np.dot(self._w, m))
             return mixture, mixture >= self._threshold
         with np.errstate(divide="ignore"):
-            logs = self._logw + np.log(m) + off
+            logs = self._logw + np.log(m) + self._off
         lm = float(np.logaddexp.reduce(logs))
         mixture = math.exp(lm) if lm < _EXP_MAX else math.inf
         return mixture, lm >= self._log_threshold

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -179,8 +179,10 @@ class Scenario:
             mats = obs["matrices"]
             _require(isinstance(mats, (list, tuple)) and len(mats) >= 1,
                      "scenario.observables.matrices", "must be a nonempty list")
-            for j, m in enumerate(mats):
+            # parsed once, here; every runtime builds its observables from these
+            object.__setattr__(self, "_matrices", tuple(
                 _parse_matrix(m, self.d, f"scenario.observables.matrices[{j}]")
+                for j, m in enumerate(mats)))
         else:
             _fail(f"scenario.observables.{key}", "unknown observable rule")
 
@@ -286,6 +288,7 @@ def _parse_matrix(entry, d, path):
                 _fail(f"{path}[{r}][{c}]", "must be a real or an [re, im] pair")
     if np.abs(out - out.conj().T).max() > 1e-10:
         _fail(path, "must be Hermitian within 1e-10")
+    out.flags.writeable = False  # shared by the scenario's runtimes
     return out
 
 
@@ -294,10 +297,8 @@ def build_observables(scenario: Scenario):
     if "rotated" in scenario.observables:
         n = scenario.observables["rotated"]
         return [rotated_observable(scenario.d, math.pi * i / (2 * n)) for i in range(n)]
-    mats = scenario.observables["matrices"]
     out = []
-    for j, m in enumerate(mats):
-        arr = _parse_matrix(m, scenario.d, f"scenario.observables.matrices[{j}]")
+    for j, arr in enumerate(scenario._matrices):
         try:
             out.append(Observable(arr))
         except ValueError as exc:
@@ -341,7 +342,7 @@ class _EigenTable(_TableSampler):
         return self._values[bisect_right(self._cum, u)]
 
     def draw(self, rng):
-        return self.at(rng.random())
+        return self._values[bisect_right(self._cum, rng.random())]
 
 
 class ScenarioRuntime:
@@ -555,6 +556,8 @@ def run_experiment(scenario: Scenario, runs: int, master_seed: int,
     per = math.ceil(runs / parallelism)
     chunks = [pairs[i:i + per] for i in range(0, runs, per)]
     results = []
+    # imported here: the process pool module is most of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
     # fork starts every worker up front, so open no more than there are chunks
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(_run_chunk, scenario, chunk) for chunk in chunks]
@@ -625,8 +628,12 @@ def summarize(results, scenario: Scenario | None = None,
     stop_times = np.array([r.stop_time for r in results], dtype=float)
     delays = np.array([r.delay for r in results if r.delay is not None], dtype=float)
     if delays.size:
-        qs = np.percentile(delays, [10, 25, 50, 75, 90])
-        quantiles = {f"q{p}": float(v) for p, v in zip((10, 25, 50, 75, 90), qs)}
+        # np.percentile's default (linear) rule without np.percentile, whose
+        # first call imports numpy.ma; before Python 3.13 statistics.quantiles
+        # needs two points, and a single delay is every quantile
+        cuts = (statistics.quantiles(delays.tolist(), n=20, method="inclusive")
+                if delays.size > 1 else [float(delays[0])] * 19)
+        quantiles = {f"q{p}": cuts[p // 5 - 1] for p in (10, 25, 50, 75, 90)}
         mean_delay = float(delays.mean())
     else:
         quantiles = None

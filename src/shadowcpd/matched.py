@@ -100,6 +100,10 @@ def select_index(mode: str, t: int, n: int, stats: UCBStats | None = None) -> in
     once, in order, then plays the highest mean-plus-bonus score with
     ties going to the smallest index.
     """
+    if mode == "ucb" and stats is not None and stats.n == n and t >= 1:
+        # the first maximal score: a cold index (+inf) during warm-up
+        scores = stats._scores
+        return scores.index(max(scores))
     if t < 1:
         raise ValueError("time starts at 1")
     if n < 1:
@@ -110,8 +114,4 @@ def select_index(mode: str, t: int, n: int, stats: UCBStats | None = None) -> in
         raise ValueError(f"unknown scheduling mode {mode!r}")
     if stats is None:
         raise ValueError("ucb scheduling needs UCBStats")
-    if stats.n != n:
-        raise ValueError(f"stats cover {stats.n} indices, expected {n}")
-    # the first maximal score: a cold index (+inf) during warm-up
-    scores = stats._scores
-    return scores.index(max(scores))
+    raise ValueError(f"stats cover {stats.n} indices, expected {n}")

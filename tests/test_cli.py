@@ -5,6 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +234,30 @@ def test_sweep_checks_every_value_before_running_any(param, values, bad, scenari
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("run_cap, caps", [
+    (None, [400, 2000, 20000]),  # the default cap, 20 ceil(1/alpha), of each alpha
+    (25000, [25000, 25000, 25000]),  # a cap the document sets is kept
+])
+def test_sweep_over_alpha_keeps_the_document_cap(run_cap, caps, tmp_path, capsys, monkeypatch):
+    doc = {k: v for k, v in BASE.items() if k != "run_cap"}
+    if run_cap is not None:
+        doc["run_cap"] = run_cap
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    swept = []
+    run_experiment = hz.run_experiment
+
+    def recording(scenario, *args, **kwargs):
+        swept.append(scenario.run_cap)
+        return run_experiment(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(hz, "run_experiment", recording)
+    assert cli.main(["sweep", "--scenario", str(path), "--param", "alpha",
+                     "--values", "0.05,0.01,0.001", "--runs", "1"]) == 0
+    assert swept == caps
+    assert len(capsys.readouterr().out.strip().split("\n")) == 4
+
+
 def test_sweep_nested_param_path(scenario_file, capsys):
     rc = cli.main(["sweep", "--scenario", scenario_file, "--param", "betting.cbce.grid",
                    "--values", "8,16", "--runs", "2", "--seed", "5"])
@@ -445,3 +473,26 @@ def test_validate_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("FAIL  joint channel") for line in lines)
     assert any(line.startswith("PASS  covering-interval") for line in lines)
+
+
+COLD_RUN = r"""
+import sys
+from shadowcpd import cli, harness
+sc = harness.Scenario.from_dict(dict(BASE, policy="emcd_ucb", observables={"rotated": 2}))
+results = harness.run_experiment(sc, 4, 1, parallelism=1)
+stats = harness.summarize(results, sc)
+assert stats.delay_quantiles is not None and stats.d_star_reference is not None
+for name in ("numpy.ma", "concurrent.futures.process"):
+    assert name not in sys.modules, name
+"""
+
+
+def test_cold_run_imports_neither_numpy_ma_nor_the_process_pool():
+    # a serial run and its summary need neither module, and each costs
+    # milliseconds of a cold run's import and first summary
+    src = str(Path(hz.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    script = f"BASE = {BASE!r}\n" + COLD_RUN
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

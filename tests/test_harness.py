@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import concurrent.futures
 from concurrent.futures import Future
 
 import numpy as np
@@ -161,6 +162,24 @@ def test_explicit_observable_matrices():
         scenario(observables={"matrices": [[[0, 1], [2, 0]]]})  # not Hermitian
 
 
+def test_matrices_are_parsed_once_per_scenario(monkeypatch):
+    calls = []
+    parse = hz._parse_matrix
+
+    def counting(entry, d, path):
+        calls.append(path)
+        return parse(entry, d, path)
+
+    monkeypatch.setattr(hz, "_parse_matrix", counting)
+    mats = [[[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, [0, -1]], [[0, 1], 0]]]
+    sc = scenario(observables={"matrices": mats}, policy="emcd_rr")
+    for _ in range(3):
+        rt = hz.ScenarioRuntime(sc)
+    hz.summarize(hz.run_experiment(sc, 2, master_seed=1, runtime=rt), sc)
+    assert calls == [f"scenario.observables.matrices[{j}]" for j in range(3)]
+    assert [o.eigmax for o in rt.observables] == [1.0, 1.0, 1.0]
+
+
 def test_rotated_observable_angles():
     sc = scenario(d=2, observables={"rotated": 4})
     obs = hz.build_observables(sc)
@@ -266,7 +285,7 @@ class _InProcessPool:
 def test_run_experiment_pool_is_no_larger_than_its_chunks(monkeypatch, runs, parallelism,
                                                          chunks):
     monkeypatch.setattr(_InProcessPool, "sizes", [])
-    monkeypatch.setattr(hz, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     sc = scenario(run_cap=100)
     got = hz.run_experiment(sc, runs, master_seed=5, parallelism=parallelism)
     assert _InProcessPool.sizes == [chunks]
@@ -480,6 +499,24 @@ def test_summary_quantiles_monotone():
     st = hz.summarize(trials)
     q = st.delay_quantiles
     assert q["q10"] <= q["q25"] <= q["q50"] <= q["q75"] <= q["q90"]
+
+
+def test_summary_single_delay_is_every_quantile():
+    st = hz.summarize([make_trial(0, 7, 1)])
+    assert st.delay_quantiles == {f"q{p}": 6.0 for p in (10, 25, 50, 75, 90)}
+
+
+def test_summary_quantiles_match_numpy_percentile():
+    # the summary's quantile rule against np.percentile's default (linear)
+    # rule, at the 12 significant digits every output is written at
+    rng = np.random.default_rng(12)
+    for _ in range(10_000):
+        delays = rng.integers(0, 400, size=int(rng.integers(1, 61)))
+        trials = [make_trial(i, 50 + int(x), 50, cap=500) for i, x in enumerate(delays)]
+        got = hz.summarize(trials).delay_quantiles
+        want = np.percentile(delays.astype(float), [10, 25, 50, 75, 90])
+        assert [hz._fmt_float(got[f"q{p}"]) for p in (10, 25, 50, 75, 90)] == \
+            [hz._fmt_float(float(x)) for x in want], delays
 
 
 def test_summary_rejects_empty():
