@@ -93,17 +93,20 @@ def lambda_interval(bounds, slack=None) -> LambdaInterval:
     return LambdaInterval(lo, hi)
 
 
+@lru_cache(maxsize=None)
 def chebyshev_grid(interval: LambdaInterval, k: int = UP_GRID_SIZE) -> np.ndarray:
     """Interior Chebyshev nodes of the interval, increasing, endpoint-free.
 
     Uniform weights over these nodes integrate against the arcsine
-    (Beta(1/2,1/2)) prior rescaled to the interval.
+    (Beta(1/2,1/2)) prior rescaled to the interval.  Cached per (interval,
+    k) and read-only: the bettors built from one interval share the grid.
     """
     if k < 1:
         raise ValueError("grid must have at least one point")
     nodes = np.cos((2.0 * np.arange(1, k + 1) - 1.0) * math.pi / (2.0 * k))
-    grid = interval.lo + interval.width * (1.0 + nodes) / 2.0
-    return np.sort(grid)
+    grid = np.sort(interval.lo + interval.width * (1.0 + nodes) / 2.0)
+    grid.flags.writeable = False
+    return grid
 
 
 class ConstantBettor:

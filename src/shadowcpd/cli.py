@@ -158,8 +158,8 @@ def _cmd_sweep(args):
         cell = json.dumps(value)
         row = [
             args.param,
-            # CSV-quoted only when the value's JSON holds a comma
-            '"' + cell.replace('"', '""') + '"' if "," in cell else cell,
+            # CSV-quoted only when the value's JSON holds a comma or a double quote
+            '"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell else cell,
             str(stats.runs),
             harness._fmt_float(stats.mean_run_length),
             "" if stats.mean_delay is None else harness._fmt_float(stats.mean_delay),

@@ -337,17 +337,20 @@ class _EigenTable(_TableSampler):
         self._cum = self.cum.tolist()
         self._values = self.values.tolist()
 
-    def at(self, u: float) -> float:
-        """The outcome that the uniform ``u`` selects."""
-        return self._values[bisect_right(self._cum, u)]
-
     def draw(self, rng):
+        """One outcome from one scalar uniform."""
         return self._values[bisect_right(self._cum, rng.random())]
 
 
 class ScenarioRuntime:
     """Everything shared across a scenario's trials: observables, bounds,
-    betting intervals, detector config, and outcome samplers."""
+    betting intervals, detector config, and the measurement sources.
+
+    ``sources = (pre, post)`` holds what a step measures in each state: the
+    escd estimate sampler (table or direct), or the matched list of
+    per-observable eigenvalue tables.  ``post`` is None when nu is null;
+    step s reads ``source(s)``, the post-change entry once s >= nu.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = sc = scenario
@@ -366,23 +369,19 @@ class ScenarioRuntime:
             # one estimate table serves the bounds and both states' samplers
             values, self.o_bounds = estimate_table(self.observables, sc.ensemble, sc.d, mode)
 
-            def sampler(rho):
+            def source(rho):
                 if values is None:
                     return _DirectSampler(rho, self.observables, sc.ensemble)
                 return _TableSampler(outcome_probabilities(rho, sc.ensemble), values)
-
-            self.pre_sampler = sampler(self.pre_state)
-            self.post_sampler = sampler(self.post_state) if self.post_state is not None else None
-            self.pre_tables = self.post_tables = None
         else:
             measurements = [ProjectiveMeasurement(o) for o in self.observables]
             self.o_bounds = [(o.eigmin, o.eigmax) for o in self.observables]
-            self.pre_tables = [_EigenTable(pm, self.pre_state) for pm in measurements]
-            self.post_tables = (
-                [_EigenTable(pm, self.post_state) for pm in measurements]
-                if self.post_state is not None else None
-            )
-            self.pre_sampler = self.post_sampler = None
+
+            def source(rho):
+                return [_EigenTable(pm, rho) for pm in measurements]
+
+        self.sources = (source(self.pre_state),
+                        source(self.post_state) if self.post_state is not None else None)
 
         for i, (lower, upper) in enumerate(self.o_bounds):
             _require(lower < 0.0 < upper, "scenario.observables",
@@ -408,6 +407,11 @@ class ScenarioRuntime:
                     _fail("scenario.betting.constant",
                           f"bet {lam!r} outside the admissible interval "
                           f"[{iv.lo!r}, {iv.hi!r}] of observable {i}")
+
+    def source(self, s: int):
+        """What step ``s`` measures: the post-change source once s >= nu."""
+        nu = self.scenario.nu
+        return self.sources[1] if nu is not None and s >= nu else self.sources[0]
 
     def make_bettor(self, i: int):
         betting = self.scenario.betting
@@ -446,23 +450,13 @@ def derive_seed(master_seed: int, run_index: int) -> int:
 def _draw_estimates(rt: ScenarioRuntime, nu, rng, t: int, count: int) -> np.ndarray:
     """Estimate rows of steps t .. t+count-1.  A block that contains the
     changepoint is drawn as its pre- and post-change parts, in step order."""
+    pre_source, post_source = rt.sources
     pre = count if nu is None else min(max(nu - t, 0), count)
     if pre == count:
-        return rt.pre_sampler.draw(rng, count)
+        return pre_source.draw(rng, count)
     if pre == 0:
-        return rt.post_sampler.draw(rng, count)
-    return np.concatenate([rt.pre_sampler.draw(rng, pre), rt.post_sampler.draw(rng, count - pre)])
-
-
-def _draw_outcomes(rt: ScenarioRuntime, nu, rng, t: int, count: int) -> list:
-    """Round-robin outcomes of steps t .. t+count-1, where step s measures
-    observable (s - 1) mod n.  One block of uniforms consumes the stream as
-    ``count`` scalar draws do."""
-    out = []
-    for s, u in enumerate(rng.random(count).tolist(), start=t):
-        tables = rt.post_tables if nu is not None and s >= nu else rt.pre_tables
-        out.append(tables[(s - 1) % rt.n].at(u))
-    return out
+        return post_source.draw(rng, count)
+    return np.concatenate([pre_source.draw(rng, pre), post_source.draw(rng, count - pre)])
 
 
 def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
@@ -492,8 +486,7 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
     while stop_at is None and t <= sc.run_cap:
         if stats is not None:
             idx = select_index("ucb", t, n, stats)
-            tables = rt.post_tables if sc.nu is not None and t >= sc.nu else rt.pre_tables
-            steps = (((idx,), (tables[idx].draw(rng),)),)
+            steps = (((idx,), (rt.source(t)[idx].draw(rng),)),)
             ahead = no_ahead
         elif sc.policy == "escd":
             count = min(lookahead_block(t), sc.run_cap + 1 - t)
@@ -502,7 +495,8 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
             ahead = list(block[:-1].T)
         else:
             count = min(lookahead_block((t - 1) // n + 1) * n, sc.run_cap + 1 - t)
-            outcomes = _draw_outcomes(rt, sc.nu, rng, t, count)
+            # step s measures observable (s - 1) mod n; drawn in step order
+            outcomes = [rt.source(s)[(s - 1) % n].draw(rng) for s in range(t, t + count)]
             steps = [((j % n,), (o,)) for j, o in enumerate(outcomes)]
             ahead = [outcomes[i::n][:-1] for i in range(n)]
         for measured, values in steps:
@@ -591,21 +585,20 @@ def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None,
     """Growth estimate of the post-change measurement the scenario's policy
     makes, over the full betting intervals its bettors are built from.
 
-    Exact over the runtime's post-change outcome tables; Monte Carlo with
-    ``shots`` rows of its direct sampler for shadows that cannot be
-    enumerated.
+    Reads the runtime's post-change source: Monte Carlo with ``shots`` rows
+    of a direct sampler, for shadows that cannot be enumerated; otherwise
+    exact over the estimate table's columns or the eigenvalue tables.
     """
     if scenario.nu is None:
         _fail("scenario.nu", "growth requires a finite changepoint (post-change state)")
     rt = runtime if runtime is not None else ScenarioRuntime(scenario)
-    if rt.post_tables is not None:
-        outcomes = [(table.probs, table.values) for table in rt.post_tables]
-    elif isinstance(rt.post_sampler, _TableSampler):
-        table = rt.post_sampler
-        outcomes = [(table.probs, column) for column in table.values.T]
+    post = rt.sources[1]
+    if isinstance(post, _DirectSampler):
+        return sampled_growth(post.draw, rt.full_intervals, shots, np.random.default_rng(rng))
+    if isinstance(post, _TableSampler):
+        outcomes = [(post.probs, column) for column in post.values.T]
     else:
-        return sampled_growth(rt.post_sampler.draw, rt.full_intervals, shots,
-                              np.random.default_rng(rng))
+        outcomes = [(table.probs, table.values) for table in post]
     return exact_growth(outcomes, rt.full_intervals)
 
 
@@ -613,7 +606,7 @@ def _growth_reference(scenario: Scenario, runtime: ScenarioRuntime | None) -> fl
     if scenario.nu is None:
         return None
     rt = runtime if runtime is not None else ScenarioRuntime(scenario)
-    if isinstance(rt.post_sampler, _DirectSampler):
+    if isinstance(rt.sources[1], _DirectSampler):
         # a Monte Carlo reference would make the summary depend on a seed
         return None
     return scenario_growth(scenario, runtime=rt).d_star

@@ -134,7 +134,7 @@ def ref_run_trial_escd(scenario, seed, run_index, runtime):
     stop_at = None
     for t in range(1, sc.run_cap + 1):
         post = sc.nu is not None and t >= sc.nu
-        sampler = rt.post_sampler if post else rt.pre_sampler
+        sampler = rt.sources[1] if post else rt.sources[0]
         lams = [bettor.step(o) for bettor, o in zip(bettors, prev)]
         ests = ref_draw(sampler, rng).tolist()
         if detector.advance([1.0 + lam * o for lam, o in zip(lams, ests)]):
@@ -220,7 +220,7 @@ def ref_run_trial_matched(scenario, seed, run_index, runtime):
     prev = [None] * n
     for t in range(1, sc.run_cap + 1):
         post = sc.nu is not None and t >= sc.nu
-        tables = rt.post_tables if post else rt.pre_tables
+        tables = rt.sources[1] if post else rt.sources[0]
         idx = ref_select_index(mode, t, n, stats)
         lam = bettors[idx].step(prev[idx])
         table = tables[idx]

@@ -173,9 +173,12 @@ def test_sweep_emits_one_row_per_value(scenario_file, capsys):
 @pytest.mark.parametrize("param, values, want", [
     ("weights", "[0.5,0.5],[0.25,0.75]", [[0.5, 0.5], [0.25, 0.75]]),
     ("betting", '{"cbce": {"grid": 8, "slack": 0.01}}', [{"cbce": {"grid": 8, "slack": 0.01}}]),
+    ("detector", '"sr","cusum"', ["sr", "cusum"]),
+    ("betting", '{"constant": 0.1}', [{"constant": 0.1}]),
 ])
 def test_sweep_values_may_hold_commas(param, values, want, tmp_path, capsys):
-    # the values are one JSON array's items; a value cell holding a comma is CSV-quoted
+    # the values are one JSON array's items; a value cell holding a comma or a
+    # double quote is CSV-quoted
     path = tmp_path / "two_observables.json"
     path.write_text(json.dumps(dict(BASE, observables={"rotated": 2})), encoding="utf-8")
     rc = cli.main(["sweep", "--scenario", str(path), "--param", param, "--values", values,

@@ -373,10 +373,10 @@ def test_direct_sampler_output_is_pinned(ensemble):
     if ensemble == "joint":
         # joint d=3 runs on the stabilizer-state table; drive the direct
         # sampler in its place
-        assert isinstance(rt.post_sampler, hz._TableSampler)
-        rt.pre_sampler, rt.post_sampler = (hz._DirectSampler(rho, rt.observables, ensemble)
-                                           for rho in (rt.pre_state, rt.post_state))
-    assert isinstance(rt.post_sampler, hz._DirectSampler)
+        assert isinstance(rt.sources[1], hz._TableSampler)
+        rt.sources = tuple(hz._DirectSampler(rho, rt.observables, ensemble)
+                           for rho in (rt.pre_state, rt.post_state))
+    assert isinstance(rt.sources[1], hz._DirectSampler)
     res = [hz.run_trial(sc, hz.derive_seed(11, i), i, rt) for i in range(5)]
     assert hashlib.sha256(hz.results_csv(sc, res).encode()).hexdigest() == digest
 
@@ -419,7 +419,7 @@ def test_lookahead_trials_match_per_step_loop(case):
     # must equal those of the per-step loops
     sc = scenario(**LOOKAHEAD_CASES[case])
     rt = hz.ScenarioRuntime(sc)
-    direct = isinstance(rt.pre_sampler, hz._DirectSampler)
+    direct = isinstance(rt.sources[0], hz._DirectSampler)
     assert direct == case.startswith("direct")
     ref = ref_run_trial_escd if sc.policy == "escd" else ref_run_trial_matched
     seeds = [(i, hz.derive_seed(3, i)) for i in range(8)]
@@ -440,10 +440,70 @@ def test_block_draws_split_at_changepoint_match_single_draws(t, count):
     rt = hz.ScenarioRuntime(sc)
     block_rng, single_rng = np.random.default_rng(5), np.random.default_rng(5)
     block = hz._draw_estimates(rt, sc.nu, block_rng, t, count)
-    single = [ref_draw(rt.post_sampler if s >= sc.nu else rt.pre_sampler, single_rng)
+    single = [ref_draw(rt.sources[1] if s >= sc.nu else rt.sources[0], single_rng)
               for s in range(t, t + count)]
     assert np.array_equal(block, np.array(single))
     assert block_rng.random() == single_rng.random()  # same position in the stream
+
+
+def count_draws(monkeypatch):
+    """Wrap the sampler draw sites that bench/tracer.py counts; returns the
+    rows drawn per site."""
+    drawn = {"table": 0, "direct": 0, "eigen": 0}
+
+    def wrap(cls, site, rows):
+        real = cls.draw
+
+        def draw(self, *args):
+            out = real(self, *args)
+            drawn[site] += rows(out)
+            return out
+
+        monkeypatch.setattr(cls, "draw", draw)
+
+    wrap(hz._TableSampler, "table", len)
+    wrap(hz._DirectSampler, "direct", len)
+    wrap(hz._EigenTable, "eigen", lambda out: 1)
+    return drawn
+
+
+@pytest.mark.parametrize("policy", ["emcd_rr", "emcd_ucb"])
+def test_matched_trials_draw_one_eigenvalue_per_step(policy, monkeypatch):
+    # a CUSUM on neutral bets never stops, so every step up to the cap is
+    # drawn; nu = 37 and the cap of 203 fall inside round-robin blocks
+    sc = scenario(d=2, policy=policy, observables={"rotated": 3}, nu=37, alpha=0.01,
+                  run_cap=203, detector="cusum", betting={"constant": 0.0})
+    rt = hz.ScenarioRuntime(sc)
+    drawn = count_draws(monkeypatch)
+    r = hz.run_trial(sc, 7, runtime=rt)
+    assert r.censored and r.stop_time == 203
+    assert drawn == {"table": 0, "direct": 0, "eigen": r.stop_time}
+
+
+@pytest.mark.parametrize("overrides, site", [
+    (dict(d=2, nu=37, alpha=0.01), "table"),
+    (dict(d=4, observables={"rotated": 2}, nu=37, alpha=0.01), "direct"),
+])
+def test_escd_trial_draws_every_step_it_runs(overrides, site, monkeypatch):
+    sc = scenario(**overrides)
+    rt = hz.ScenarioRuntime(sc)
+    drawn = count_draws(monkeypatch)
+    r = hz.run_trial(sc, 7, runtime=rt)
+    assert not r.censored
+    assert [k for k, rows in drawn.items() if rows] == [site]
+    assert drawn[site] >= r.stop_time  # a block may run past the stop
+
+
+@pytest.mark.parametrize("policy", ["escd", "emcd_ucb"])
+def test_bettors_of_a_runtime_share_one_read_only_grid(policy):
+    # every trial builds its bettors afresh; each observable's bettors share
+    # the Chebyshev grid of its interval
+    rt = hz.ScenarioRuntime(scenario(d=2, policy=policy, observables={"rotated": 8}))
+    for i in range(rt.n):
+        grid = rt.make_bettor(i).grid
+        assert rt.make_bettor(i).grid is grid
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
 
 
 def test_lookahead_blocks_never_cross_a_power_of_two():
