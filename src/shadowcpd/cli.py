@@ -85,20 +85,16 @@ def _cmd_run(args):
                                      runtime=runtime)
     wall = time.perf_counter() - t0
     stats = harness.summarize(results, scenario, runtime)
+    if args.format == "csv":
+        text = harness.results_csv(scenario, results)
+    else:
+        text = harness.results_json(scenario, results, stats, master_seed=args.seed,
+                                    wall_time_seconds=wall)
     if args.out:
-        try:
-            harness.emit_results(scenario, results, stats, args.format, args.out,
-                                 master_seed=args.seed, wall_time_seconds=wall)
-        except OSError as exc:
-            raise SystemExit2(str(exc))
+        _write_out(args.out, text)
         print(f"wrote {len(results)} trials to {args.out}")
     else:
-        if args.format == "csv":
-            sys.stdout.write(harness.results_csv(scenario, results))
-        else:
-            sys.stdout.write(harness.results_json(scenario, results, stats,
-                                                  master_seed=args.seed,
-                                                  wall_time_seconds=wall))
+        sys.stdout.write(text)
     summary = stats.to_dict()
     summary["wall_time_seconds"] = wall
     print(json.dumps(harness._normalize_floats(summary)), file=sys.stderr)

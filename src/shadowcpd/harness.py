@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import sys
 from bisect import bisect_right
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -86,8 +87,9 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# an integer past the float range would overflow float(): no real either
 def _is_real(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -96,7 +98,8 @@ class Scenario:
 
     The fields before ``ucb_delta`` are those of the scenario document, in
     the order ``to_dict`` writes them; a field without a default is
-    required.  Construction validates every field and stores its canonical
+    required.  Construction checks the whole document, builds the observables
+    every runtime of the scenario shares, and stores each field's canonical
     form: reals as floats, weights as a tuple, the betting block with every
     field filled in, the run cap 20 ceil(1/alpha) for null, and the policy
     object {"emcd_ucb": {"delta": ...}} as the policy name and ``ucb_delta``.
@@ -151,6 +154,11 @@ class Scenario:
                  "scenario.run_cap", "must be an integer >= ceil(1/alpha)")
         _require(self.bounds_mode in BOUNDS_MODES, "scenario.bounds_mode",
                  f"must be one of {BOUNDS_MODES}")
+        if self.policy == "escd":  # matched policies bet over eigenvalue ranges
+            try:
+                resolve_bounds_mode(self.ensemble, self.d, self.bounds_mode)
+            except ValueError as exc:
+                _fail("scenario.bounds_mode", str(exc))
         _require(isinstance(self.ucb_delta, float) and 0.0 < self.ucb_delta < 1.0,
                  "scenario.ucb_delta", "must be a real in (0, 1)")
 
@@ -173,18 +181,20 @@ class Scenario:
                  'must be {"rotated": n} or {"matrices": [...]}')
         key = next(iter(obs))
         if key == "rotated":
-            _require(_is_int(obs["rotated"]) and obs["rotated"] >= 1,
-                     "scenario.observables.rotated", "must be an integer >= 1")
+            n = obs["rotated"]
+            _require(_is_int(n) and n >= 1, "scenario.observables.rotated",
+                     "must be an integer >= 1")
+            built = [rotated_observable(self.d, math.pi * i / (2 * n)) for i in range(n)]
         elif key == "matrices":
             mats = obs["matrices"]
             _require(isinstance(mats, (list, tuple)) and len(mats) >= 1,
                      "scenario.observables.matrices", "must be a nonempty list")
-            # parsed once, here; every runtime builds its observables from these
-            object.__setattr__(self, "_matrices", tuple(
-                _parse_matrix(m, self.d, f"scenario.observables.matrices[{j}]")
-                for j, m in enumerate(mats)))
+            built = [Observable(_parse_matrix(m, self.d, f"scenario.observables.matrices[{j}]"))
+                     for j, m in enumerate(mats)]
         else:
             _fail(f"scenario.observables.{key}", "unknown observable rule")
+        # built once, here; every runtime of the scenario shares these objects
+        object.__setattr__(self, "_observables", tuple(built))
 
     def _validate_weights(self):
         w = self.weights
@@ -226,8 +236,8 @@ class Scenario:
                 "two_sided": cfg.get("two_sided", False),
             }}
         elif key == "constant":
-            _require(_is_real(b["constant"]), "scenario.betting.constant",
-                     "must be a real bet")
+            _require(_is_real(b["constant"]) and math.isfinite(b["constant"]),
+                     "scenario.betting.constant", "must be a finite real bet")
             canonical = {"constant": float(b["constant"])}
         else:
             _fail(f"scenario.betting.{key}", "unknown betting policy")
@@ -236,9 +246,7 @@ class Scenario:
 
     @property
     def n_observables(self) -> int:
-        if "rotated" in self.observables:
-            return self.observables["rotated"]
-        return len(self.observables["matrices"])
+        return len(self._observables)
 
     def to_dict(self) -> dict:
         doc = {f.name: _copy_jsonish(getattr(self, f.name)) for f in FIELDS}
@@ -286,6 +294,7 @@ def _parse_matrix(entry, d, path):
                 out[r, c] = complex(float(cell[0]), float(cell[1]))
             else:
                 _fail(f"{path}[{r}][{c}]", "must be a real or an [re, im] pair")
+            _require(np.isfinite(out[r, c]), f"{path}[{r}][{c}]", "must be finite")
     if np.abs(out - out.conj().T).max() > 1e-10:
         _fail(path, "must be Hermitian within 1e-10")
     out.flags.writeable = False  # shared by the scenario's runtimes
@@ -293,17 +302,8 @@ def _parse_matrix(entry, d, path):
 
 
 def build_observables(scenario: Scenario):
-    """Materialize the scenario's observables as Observable objects."""
-    if "rotated" in scenario.observables:
-        n = scenario.observables["rotated"]
-        return [rotated_observable(scenario.d, math.pi * i / (2 * n)) for i in range(n)]
-    out = []
-    for j, arr in enumerate(scenario._matrices):
-        try:
-            out.append(Observable(arr))
-        except ValueError as exc:
-            _fail(f"scenario.observables.matrices[{j}]", str(exc))
-    return out
+    """The scenario's Observable objects, built once at its construction."""
+    return list(scenario._observables)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +360,11 @@ class ScenarioRuntime:
         self.detector_config = DetectorConfig(weights=weights, alpha=sc.alpha, kind=sc.detector)
         self.pre_state = make_theta_state(sc.d, sc.theta0)
         self.post_state = make_theta_state(sc.d, sc.theta1) if sc.nu is not None else None
-        try:
-            mode = resolve_bounds_mode(sc.ensemble, sc.d, sc.bounds_mode)
-        except ValueError as exc:
-            _fail("scenario.bounds_mode", str(exc))
 
         if sc.policy == "escd":
             # one estimate table serves the bounds and both states' samplers
-            values, self.o_bounds = estimate_table(self.observables, sc.ensemble, sc.d, mode)
+            values, self.o_bounds = estimate_table(self.observables, sc.ensemble, sc.d,
+                                                     sc.bounds_mode)
 
             def source(rho):
                 if values is None:

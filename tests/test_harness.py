@@ -120,10 +120,19 @@ def test_post_change_needs_positive_theta1_when_nu_finite():
     ("theta0", None, "scenario.theta0"),
     ("theta1", "high", "scenario.theta1"),
     ("theta1", None, "scenario.theta1"),
+    ("betting", {"constant": math.nan}, "scenario.betting.constant"),
+    ("observables", {"matrices": [[[0, math.nan], [1, 0]]]}, r"scenario.observables.matrices\[0\]\[0\]\[1\]"),
+    ("observables", {"matrices": [[[0, math.inf], [1, 0]]]}, r"scenario.observables.matrices\[0\]\[0\]\[1\]"),
+    ("observables", {"matrices": [[[0, [0, -math.inf]], [1, 0]]]}, r"scenario.observables.matrices\[0\]\[0\]\[1\]"),
+    pytest.param("theta0", -10**400, "scenario.theta0", id="theta0-beyond-float-range"),
+    ("weights", [10**400], "scenario.weights"),
+    ("betting", {"constant": 10**400}, "scenario.betting.constant"),
+    ("observables", {"matrices": [[[0, 10**400], [1, 0]]]}, r"scenario.observables.matrices\[0\]\[0\]\[1\]"),
 ])
 def test_booleans_and_non_numbers_rejected(field, value, path):
     # JSON true/false are Python bools, which are ints; neither may pass as a number,
-    # and a non-number must be reported, not compared
+    # nor may NaN, an infinity or an integer past the float range, which float()
+    # cannot convert; a non-number must be reported, not compared
     with pytest.raises(hz.ScenarioError, match=path):
         scenario(**{field: value})
 
@@ -178,6 +187,34 @@ def test_matrices_are_parsed_once_per_scenario(monkeypatch):
     hz.summarize(hz.run_experiment(sc, 2, master_seed=1, runtime=rt), sc)
     assert calls == [f"scenario.observables.matrices[{j}]" for j in range(3)]
     assert [o.eigmax for o in rt.observables] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("observables", [
+    {"rotated": 3},
+    {"matrices": [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]},
+])
+def test_runtimes_share_the_scenario_observables(observables):
+    sc = scenario(observables=observables)
+    first, second = hz.ScenarioRuntime(sc), hz.ScenarioRuntime(sc)
+    assert len(first.observables) == sc.n_observables
+    assert all(a is b for a, b in zip(first.observables, second.observables, strict=True))
+
+
+@pytest.mark.parametrize("ensemble", hz.ENSEMBLES)
+def test_exhaustive_bounds_beyond_enumeration_is_a_document_error(ensemble):
+    with pytest.raises(hz.ScenarioError, match=r"^scenario\.bounds_mode: .*not enumerable"):
+        scenario(d=4, ensemble=ensemble, bounds_mode="exhaustive")
+
+
+@pytest.mark.parametrize("policy", ["emcd_rr", "emcd_ucb"])
+def test_matched_policies_accept_exhaustive_beyond_enumeration(policy):
+    # matched bets range over eigenvalues, so the shadow bounds mode is unused
+    doc = dict(d=4, observables={"rotated": 2}, policy=policy, alpha=0.1, run_cap=200)
+    sc = scenario(**doc, bounds_mode="exhaustive")
+    rt = hz.ScenarioRuntime(sc)
+    results = hz.run_experiment(sc, 2, master_seed=4, runtime=rt)
+    assert len(results) == 2
+    assert results == hz.run_experiment(scenario(**doc), 2, master_seed=4)
 
 
 def test_rotated_observable_angles():
