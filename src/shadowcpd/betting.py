@@ -29,15 +29,17 @@ DEFAULT_SLACK_FRACTION = 0.005
 
 # steps of a full lookahead block; a power of two, so the block's
 # (steps, levels, grid) temporaries stay under glibc's 128 KiB mmap
-# threshold up to t = 2^15 at the default grid
+# threshold up to t = 2^15 at the default grid.  Universal-portfolio wealth
+# is renormalized at the steps it divides, and no lookahead block holds such
+# a step after its first.
 LOOKAHEAD_BLOCK = 16
 
 _MC_CHUNK = 4096
 
-# estimate values whose grid increment a CBCE bettor keeps, each a row of
-# the grid: a matched bettor sees a handful of eigenvalues, a shadow bettor
-# the rows of its estimate table
-INCREMENT_CACHE_SIZE = 64
+# estimate values whose grid factor 1 + grid * o a CBCE bettor keeps, each
+# a row of the grid: a matched bettor sees a handful of eigenvalues, a shadow
+# bettor the rows of its estimate table
+FACTOR_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -125,36 +127,45 @@ def _check_estimate(o_hat: float, o_bounds) -> None:
         raise ValueError(f"estimate {o_hat!r} outside the declared range [{lower!r}, {upper!r}]")
 
 
-def _up_bets(log_wealth: np.ndarray, grid: np.ndarray):
-    """Universal-portfolio bet per row of log-wealth: the grid averaged
-    with softmax(log_wealth) weights."""
-    shift = np.maximum.reduce(log_wealth, axis=-1, keepdims=True)
-    w = np.subtract(log_wealth, shift)
-    np.exp(w, out=w)
-    return (w @ grid) / np.add.reduce(w, axis=-1)
+def _portfolio_bets(wealth: np.ndarray, grid: np.ndarray):
+    """Universal-portfolio bet per row of wealth: the grid averaged with
+    the row as weights."""
+    return (wealth @ grid) / np.add.reduce(wealth, axis=-1)
+
+
+def _renormalize(wealth: np.ndarray) -> None:
+    """Divide each row of wealth by its maximum, in place.  Until the next
+    renormalization a row's leader moves by at most LOOKAHEAD_BLOCK bounded
+    factors; a grid point about 708 nats behind it underflows to 0.0 for
+    good, where a softmax over log-wealth gives it weight 0 as well."""
+    np.divide(wealth, np.maximum.reduce(wealth, axis=-1, keepdims=True), out=wealth)
 
 
 class UPExpert:
     """Discretized universal-portfolio bettor.
 
-    Holds wealth per grid point; the bet is the wealth-weighted average
-    of the grid, so it tracks the best fixed bet up to a logarithmic
-    regret plus the grid gap.
+    Holds wealth per grid point, in linear scale and renormalized as a CBCE
+    expert's is; the bet is the wealth-weighted average of the grid, so it
+    tracks the best fixed bet up to a logarithmic regret plus the grid gap.
     """
 
     def __init__(self, interval: LambdaInterval, o_bounds=None, k: int = UP_GRID_SIZE):
         self.interval = interval
         self.o_bounds = o_bounds
         self.grid = chebyshev_grid(interval, k)
-        self.log_wealth = np.zeros(k)
+        self.wealth = np.ones(k)
+        self.t = 1  # step of the next bet
 
     def bet(self) -> float:
-        return float(_up_bets(self.log_wealth, self.grid))
+        return float(_portfolio_bets(self.wealth, self.grid))
 
     def update(self, o_hat: float) -> None:
         if self.o_bounds is not None:
             _check_estimate(o_hat, self.o_bounds)
-        self.log_wealth += np.log1p(self.grid * o_hat)
+        self.wealth *= 1.0 + self.grid * o_hat
+        self.t += 1
+        if not self.t % LOOKAHEAD_BLOCK:
+            _renormalize(self.wealth)
 
 
 def lookahead_block(t: int) -> int:
@@ -190,10 +201,10 @@ def _birth_order(t: int):
     normalized priors in that order.
 
     At step t one expert lives on each level k = 0 .. t.bit_length() - 1,
-    the covering interval of length 2^k that contains t.  Every reduction
-    over the experts runs in birth order (start time, then level),
-    including the sum that normalizes their priors.  Both depend on t
-    alone, so every bettor of the process shares one entry per step.
+    the covering interval of length 2^k that contains t.  Every sum over
+    the experts runs in birth order (start time, then level), including the
+    one that normalizes their priors.  Both depend on t alone, so every
+    bettor of the process shares one entry per step.
     """
     if t == 0:
         return (), ()  # no expert before the first step
@@ -205,15 +216,6 @@ def _birth_order(t: int):
     return order, tuple(p / prior_sum for p in priors)
 
 
-@lru_cache(maxsize=None)
-def _block_index(t: int, count: int) -> np.ndarray:
-    """Rows of a (count, levels, k) block of level-ordered log-wealth,
-    flattened to (count * levels, k), that hold steps t .. t+count-1 in
-    birth order; the block must not cross a power of two."""
-    levels = t.bit_length()
-    return np.array([j * levels + lv for j in range(count) for lv in _birth_order(t + j)[0]])
-
-
 class CBCEBettor:
     """Coin-betting-over-covering-intervals aggregation of UP experts.
 
@@ -223,9 +225,12 @@ class CBCEBettor:
     intervals is what buys adaptivity to the changepoint.
 
     Expert state is held per level: the level-k expert restarts whenever
-    2^k divides t, and a new level opens at every power of two.  The birth
-    order of the experts and their normalized priors depend on t alone and
-    are computed once per t for the whole process.
+    2^k divides t, and a new level opens at every power of two.  The
+    experts' universal-portfolio wealth rows and bets stay in level order;
+    the meta loop visits the experts in birth order, whose order and
+    normalized priors depend on t alone and are computed once per t for the
+    whole process.  It sums the raw weights r and r * bet as it goes, and
+    the meta bet is their ratio.
 
     Call ``step(o_prev)`` once per time step, passing the estimate
     observed after the previous bet (absent only on the first call).
@@ -244,29 +249,28 @@ class CBCEBettor:
         self.k = int(k)
         self.grid = chebyshev_grid(interval, k)
         self.t = 1
-        # per level: UP log-wealth row and coin state
-        self._log_wealth = np.zeros((0, self.k))
+        # per level: UP wealth row and coin state
+        self._up_wealth = np.ones((0, self.k))
         self._sum_g = []
         self._wealth = []
         self._beta = []
         self._lam = []
         self._backed = []
         # the open lookahead block, steps start .. end-1: the expert bets
-        # (in birth order) and the estimates promised for its later steps
+        # (in level order) and the estimates promised for its later steps
         self._block_start = self._block_end = 0
         self._block_bets = None
         self._ahead = []
         self.last_lam = 0.0
-        self.last_weights = np.zeros(0)
         self.loss_bound = self._loss_bound()
         # constants of every step: the accepted estimate range, the bet clip,
-        # the loss scale, and np.log1p(grid * o) per estimate value o, keyed
-        # by value with the two zeros apart (their reprs)
+        # the loss scale, and 1 + grid * o per estimate value o, keyed by
+        # value with the two zeros apart (their reprs)
         lower, upper = o_bounds
         self._accept = (lower - 1e-9, upper + 1e-9)
         self._clip = (interval.lo, interval.hi)
         self._scale = 2.0 * self.loss_bound
-        self._increments = {}
+        self._factors = {}
 
     def _loss_bound(self) -> float:
         lower, upper = self.o_bounds
@@ -289,6 +293,20 @@ class CBCEBettor:
         t = self.t - 1
         return [((t >> k) << k, (((t >> k) + 1) << k) - 1) for k in _birth_order(t)[0]]
 
+    @property
+    def last_weights(self) -> np.ndarray:
+        """Meta weights of the experts behind the last bet, in birth order:
+        raw weights r over their sum, or the priors when no expert is backed."""
+        order, priors = _birth_order(self.t - 1)
+        raw = []
+        total = 0.0
+        for lv, prior in zip(order, priors):
+            stake = self._beta[lv] * self._wealth[lv]
+            r = prior * stake if stake > 0.0 else 0.0
+            raw.append(r)
+            total += r
+        return np.array(raw) / total if total > 0.0 else np.array(priors)
+
     def step(self, o_prev=None, ahead=None) -> float:
         t = self.t
         if t == 1:
@@ -301,7 +319,7 @@ class CBCEBettor:
         in_block = t < self._block_end
         if born == levels:
             # t is a power of two: every expert restarts and one level opens
-            self._log_wealth = np.zeros((levels, self.k))
+            self._up_wealth = np.ones((levels, self.k))
             for state in (self._sum_g, self._wealth, self._beta, self._lam, self._backed):
                 state.append(None)
         if o_prev is not None:
@@ -312,31 +330,34 @@ class CBCEBettor:
             elif o_hat != self._ahead[t - self._block_start - 1]:
                 raise ValueError(f"step {t} got {o_hat!r}, not the estimate passed ahead")
             meta_loss = -math.log1p(self.last_lam * o_hat)
-        order, priors = _birth_order(t)
         if in_block:
             if ahead is not None:
                 raise ValueError(f"step {t} lies inside the lookahead block opened at "
                                  f"step {self._block_start}")
-            lams_arr = self._block_bets[t - self._block_start - 1]
+            bets = self._block_bets[t - self._block_start - 1]
         else:
+            up = self._up_wealth
             if born < levels:
                 key = o_hat or repr(o_hat)
-                inc = self._increments.get(key)
-                if inc is None:
-                    inc = np.log1p(self.grid * o_hat)
-                    if len(self._increments) < INCREMENT_CACHE_SIZE:
-                        self._increments[key] = inc
-                self._log_wealth[born:] += inc
-                self._log_wealth[:born] = 0.0
-            lams_arr = _up_bets(self._log_wealth.take(order, axis=0), self.grid)
+                factor = self._factors.get(key)
+                if factor is None:
+                    factor = 1.0 + self.grid * o_hat
+                    if len(self._factors) < FACTOR_CACHE_SIZE:
+                        self._factors[key] = factor
+                up[born:] *= factor
+                up[:born] = 1.0
+            if not t % LOOKAHEAD_BLOCK:
+                _renormalize(up)
+            bets = _portfolio_bets(up, self.grid)
             if ahead is not None and len(ahead):
                 self._look_ahead(ahead, levels)
-        lams = lams_arr.tolist()
+        bets = bets.tolist()
+        order, priors = _birth_order(t)
         sum_g, wealth = self._sum_g, self._wealth
         beta, lam, backed = self._beta, self._lam, self._backed
         scale = self._scale
-        raw = []
-        for lv, bet, prior in zip(order, lams, priors):
+        total = mix = 0.0
+        for lv, prior in zip(order, priors):
             if lv < born:
                 sum_g[lv] = 0.0
                 wealth[lv] = 1.0
@@ -354,28 +375,35 @@ class CBCEBettor:
             # the level-lv expert has absorbed t mod 2^lv rounds
             b = sum_g[lv] / ((t & ((1 << lv) - 1)) + 1)
             beta[lv] = b
-            lam[lv] = bet
+            bet = lam[lv] = bets[lv]
             stake = b * wealth[lv]
-            r = prior * stake if stake > 0.0 else 0.0
-            backed[lv] = r > 0.0
-            raw.append(r)
-        raw = np.array(raw)
-        total = np.add.reduce(raw)
-        weights = raw / total if total > 0.0 else np.array(priors)
-        self.last_weights = weights
+            if stake > 0.0:
+                r = prior * stake
+                total += r
+                mix += r * bet
+                backed[lv] = r > 0.0
+            else:
+                backed[lv] = False
+        if total > 0.0:
+            mix /= total
+        else:
+            # no expert is backed: the prior-weighted bet
+            for lv, prior in zip(order, priors):
+                mix += prior * bets[lv]
         lo, hi = self._clip
-        self.last_lam = min(max(float(weights @ lams_arr), lo), hi)
+        self.last_lam = min(max(mix, lo), hi)
         self.t = t + 1
         return self.last_lam
 
     def _look_ahead(self, ahead, levels: int) -> None:
-        """Expert bets of the len(ahead) steps after this one, in birth
+        """Expert bets of the len(ahead) steps after this one, in level
         order, from the estimates they will absorb.
 
-        Their log-wealth rows are built level-ordered by the per-step
-        in-place add: the row of step t + s adds the increment of
-        ahead[s - 1] to the row of step t + s - 1 on the levels that do not
-        restart at t + s; the restarting entries stay 0.0.
+        Their wealth rows are built by the per-step product: the row of step
+        t + s multiplies the row of step t + s - 1 by the factor of
+        ahead[s - 1] on the levels that do not restart at t + s; the
+        restarting entries stay 1.0.  No step of the block after its first
+        renormalizes.
         """
         t = self.t
         count = len(ahead)
@@ -385,18 +413,17 @@ class CBCEBettor:
         if not (self._accept[0] <= ahead.min() and ahead.max() <= self._accept[1]):
             for o in ahead.tolist():
                 _check_estimate(o, self.o_bounds)
-        rows = np.zeros((count, levels, self.k))
-        incs = np.log1p(self.grid * ahead[:, None])
-        prev = self._log_wealth
-        for s, inc, row in zip(range(1, count + 1), incs, rows):
+        rows = np.ones((count, levels, self.k))
+        factors = 1.0 + self.grid * ahead[:, None]
+        prev = self._up_wealth
+        for s, factor, row in zip(range(1, count + 1), factors, rows):
             # t is a multiple of a power of two above s, so the levels
             # below (s & -s).bit_length() restart at step t + s
             live = (s & -s).bit_length()
-            np.add(prev[live:], inc, out=row[live:])
+            np.multiply(prev[live:], factor, out=row[live:])
             prev = row
-        birth_rows = rows.reshape(-1, self.k).take(_block_index(t + 1, count), axis=0)
-        self._block_bets = _up_bets(birth_rows.reshape(count, levels, self.k), self.grid)
-        self._log_wealth = rows[-1]
+        self._block_bets = _portfolio_bets(rows, self.grid)
+        self._up_wealth = rows[-1]
         self._ahead = ahead.tolist()
         self._block_start = t
         self._block_end = t + 1 + count

@@ -227,18 +227,27 @@ class _RefEntry:
     backed: bool = False
 
 
-def ref_up_bets(log_wealth, grid):
-    """Universal-portfolio bets of each log-wealth row, as the production
-    ``_up_bets`` computed them when this oracle was frozen."""
-    shift = log_wealth.max(axis=-1, keepdims=True)
-    w = np.exp(log_wealth - shift)
+def ref_up_bets(wealth, grid):
+    """Universal-portfolio bets of each row of linear wealth: the grid
+    averaged with the row as weights."""
+    return (wealth @ grid) / wealth.sum(axis=-1)
+
+
+def softmax_up_bets(log_wealth, grid):
+    """The same bets from log-wealth rows, by the shifted softmax the
+    production bettor used before it kept wealth in linear scale."""
+    w = np.exp(log_wealth - log_wealth.max(axis=-1, keepdims=True))
     return (w @ grid) / w.sum(axis=-1)
 
 
 class ReferenceCBCE:
     """Plain CBCE: a list of per-interval expert records in birth order,
     filtered and extended from ``covering_intervals`` at every step.  The
-    production bettor must reproduce it bit for bit."""
+    production bettor must reproduce it bit for bit.
+
+    Wealth rows are multiplied by 1 + grid * o, divided by their maxima at
+    every step that ``LOOKAHEAD_BLOCK`` divides, and bet from in level
+    order; the meta bet sums r and r * bet in birth order."""
 
     def __init__(self, interval, o_bounds, k=bt.UP_GRID_SIZE):
         self.interval = interval
@@ -247,7 +256,7 @@ class ReferenceCBCE:
         self.grid = bt.chebyshev_grid(interval, k)
         self.t = 1
         self.entries = []
-        self.log_wealth = np.zeros((0, k))
+        self.wealth = np.ones((0, k))
         self.last_lam = 0.0
         self.last_weights = np.zeros(0)
         self.loss_bound = bt.CBCEBettor(interval, o_bounds, k).loss_bound
@@ -265,29 +274,44 @@ class ReferenceCBCE:
                 e.wealth *= 1.0 + e.beta * g
                 e.sum_g += g
                 e.rounds += 1
-            self.log_wealth += np.log1p(self.grid * o_hat)
+            self.wealth *= 1.0 + self.grid * o_hat
         t = self.t
         keep = [i for i, e in enumerate(self.entries) if e.t2 >= t]
         if len(keep) != len(self.entries):
             self.entries = [self.entries[i] for i in keep]
-            self.log_wealth = self.log_wealth[keep]
+            self.wealth = self.wealth[keep]
         born = [(t1, t2) for t1, t2 in bt.covering_intervals(t) if t1 == t]
         if born:
             self.entries.extend(_RefEntry(t1, t2) for t1, t2 in born)
-            self.log_wealth = np.vstack([self.log_wealth, np.zeros((len(born), self.k))])
+            self.wealth = np.vstack([self.wealth, np.ones((len(born), self.k))])
+        if t % bt.LOOKAHEAD_BLOCK == 0:
+            self.wealth /= self.wealth.max(axis=-1, keepdims=True)
         prior = np.array([1.0 / (e.t1 * e.t1 * (1 + int(math.log2(e.t1)))) for e in self.entries])
         prior /= prior.sum()
-        lams = ref_up_bets(self.log_wealth, self.grid)
+        # the bet matrix holds the rows in level order, the level being
+        # log2 of the interval's length
+        levels = [(e.t2 - e.t1 + 1).bit_length() - 1 for e in self.entries]
+        by_level = sorted(range(len(levels)), key=levels.__getitem__)
+        lams = np.empty(len(levels))
+        lams[by_level] = ref_up_bets(self.wealth[by_level], self.grid)
         raw = np.empty(len(self.entries))
+        total = mix = 0.0
         for i, e in enumerate(self.entries):
             e.beta = e.sum_g / (e.rounds + 1)
             e.lam = float(lams[i])
             raw[i] = prior[i] * max(0.0, e.beta * e.wealth)
             e.backed = raw[i] > 0.0
-        total = raw.sum()
-        weights = raw / total if total > 0.0 else prior
-        self.last_weights = weights
-        self.last_lam = self.interval.clip(float(weights @ lams))
+            total += raw[i]
+            mix += raw[i] * e.lam
+        if total > 0.0:
+            self.last_weights = raw / total
+            lam = mix / total
+        else:
+            self.last_weights = prior
+            lam = 0.0
+            for p, e in zip(prior, self.entries):
+                lam += p * e.lam
+        self.last_lam = self.interval.clip(float(lam))
         self.t += 1
         return self.last_lam
 
@@ -398,8 +422,8 @@ def test_cbce_experts_are_the_covering_intervals():
 
 
 def test_cbce_bettors_share_the_birth_order_cache():
-    # birth order, normalized priors and block rows are cached per t for the
-    # whole process; bettors of other grids and intervals stepped
+    # birth order and normalized priors are cached per t for the whole
+    # process; bettors of other grids and intervals stepped
     # interleaved must bet as each does alone
     configs = [
         (bt.lambda_interval((-3.0, 3.0)), (-3.0, 3.0), bt.UP_GRID_SIZE, None),
@@ -424,9 +448,38 @@ def test_cbce_bettors_share_the_birth_order_cache():
             out.append(trace(b, stream, bl, t))
     for (iv, bounds, k, _), stream, bl, want in zip(configs, streams, blocks, together):
         bt._birth_order.cache_clear()
-        bt._block_index.cache_clear()
         alone = bt.CBCEBettor(iv, bounds, k)
         assert [trace(alone, stream, bl, t) for t in range(1, steps + 1)] == want
+
+
+def test_linear_bets_match_the_log_scale_softmax():
+    # the continuous part of the arithmetic: a row of linear wealth bets as
+    # the softmax of its logarithm does, to 1e-12 relative, even when its
+    # grid points lie up to 700 nats behind the leader
+    rng = np.random.default_rng(700)
+    for k in (bt.UP_GRID_SIZE, 2, 7):
+        grid = bt.chebyshev_grid(bt.lambda_interval((-1.0, 9.0)), k)
+        for spread in (1e-3, 1.0, 50.0, 300.0, 700.0):
+            log_wealth = -rng.uniform(0.0, spread, size=(200, k))
+            log_wealth[np.arange(200), rng.integers(k, size=200)] = 0.0  # the leader
+            want = softmax_up_bets(log_wealth, grid)
+            got = bt._portfolio_bets(np.exp(log_wealth), grid)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (k, spread)
+
+
+def test_cbce_wealth_stays_finite_at_long_horizons():
+    # alternating extreme estimates drive the wealth of most grid points
+    # down at every step; renormalization keeps each row's leader at 1.0
+    bounds = (-1.0, 9.0)
+    bettor = bt.CBCEBettor(bt.lambda_interval(bounds), bounds)
+    o_prev = None
+    for t in range(1, (1 << 15) + 1):
+        bettor.step(o_prev)
+        wealth = bettor._up_wealth
+        assert np.all(np.isfinite(wealth)) and np.all(wealth >= 0.0), t
+        if t % bt.LOOKAHEAD_BLOCK == 0:
+            assert np.array_equal(wealth.max(axis=-1), np.ones(t.bit_length())), t
+        o_prev = bounds[t % 2]
 
 
 def sar_ratio(t_len, rng):

@@ -79,20 +79,20 @@ BENCH_BASE = {"d": 2, "ensemble": "local", "observables": {"rotated": 1}, "theta
 #: (overrides of BENCH_BASE, runs at master seed 1, CSV digest, summary digest)
 BENCH_BATCHES = {
     "null-arl-sr": ({"detector": "sr"}, 4,
-                    "31c65ccfddb83b30bc8b34abb3c136b538889fd3292edd1120ce4bf5f86d20ff",
-                    "e792fe32b3e31c14b0d02630af269edeb43a87c79cda86e23f48df5c8c630a8a"),
+                    "2217d1f6ef7f3850504f92202b17a3d7b3aaab8c1fcd702f08803d3226b0f4bb",
+                    "88793567aed7412fa82c7f674426a25365878da6a72432bb5350baae797abfed"),
     "null-arl-cusum": ({"detector": "cusum"}, 4,
                        "80fb3034f19016293998ccc825a5b7080196bd4f92921fb6c19341ff5ff2a344",
                        "7019b7ab07446a8bbed0e3c093b61a6f0803bf4b11a3e2b4859adcad0d8fecb9"),
     "ucb-n8": ({"policy": "emcd_ucb", "observables": {"rotated": 8}, "nu": 200}, 20,
-               "09b53ff1e0f6a93bace3c39294a321f4f65fb1742d732316bd3e608f7ed090de",
-               "6dcb21893e41b5a13250a7d92fbd8953839208a18d7f73acb8408a48c8b7f0fd"),
+               "3308d060c802d5f8088708f3bed03981bac934afd6c9b67396760baacd030e74",
+               "9da7e3e3fa49d66140bb283138ebb495b0b39b28e2ff3a96fb385c0c3707158b"),
     "joint-d2": ({"ensemble": "joint", "theta1": 0.8, "nu": 50}, 40,
-                 "df753b36bc3dc556b1be3bd11558cbeeb8c28f94141132474dc30daf08354f25",
-                 "b130b21337ebe148a3f20676373260ba058075299bf1fe8fbea9c9c54d1a5db7"),
+                 "3c610c416beb786119c2e4df6eaccfe9ce0b6301a8de33df0960f459103659cf",
+                 "2e9be80a1f8fb943863a86bdd681c60345065addf047540531e5ca56ba1d4f53"),
     "joint-d3": ({"ensemble": "joint", "theta1": 0.8, "nu": 50, "d": 3}, 40,
-                 "00493561ae630155fab825d36bb753e71bfab8e7c8d486f2ceca688a2ada851f",
-                 "4473ab8079a55c53c4d5927f4e5b609ab754f682215ee019b795ea5101ba9908"),
+                 "7ce1ea159e92def1e133fe95a1a0b140566555c7a0509e6c6bf99fe09d13203c",
+                 "6ea74a5b2dd6a818fbab242f5d332afdeb71bcb7e2bbe620aa62524ad2c55c1e"),
 }
 
 
