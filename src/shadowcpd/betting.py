@@ -36,6 +36,10 @@ LOOKAHEAD_BLOCK = 16
 
 _MC_CHUNK = 4096
 
+# steps whose CBCE birth order is kept for the life of the process: 2^11
+# covers the default cap of alpha = 0.01 and every benchmark trial
+BIRTH_ORDER_CACHED = 1 << 11
+
 # estimate values whose grid factor 1 + grid * o a CBCE bettor keeps, each
 # a row of the grid: a matched bettor sees a handful of eigenvalues, a shadow
 # bettor the rows of its estimate table
@@ -195,25 +199,45 @@ def _interval_prior(t1: int) -> float:
     return 1.0 / (t1 * t1 * (1 + int(math.log2(t1))))
 
 
-@lru_cache(maxsize=None)
-def _birth_order(t: int):
+def _birth_order_of(t: int):
     """Levels of the experts CBCE holds at step t, in birth order, and their
     normalized priors in that order.
 
     At step t one expert lives on each level k = 0 .. t.bit_length() - 1,
-    the covering interval of length 2^k that contains t.  Every sum over
-    the experts runs in birth order (start time, then level), including the
-    one that normalizes their priors.  Both depend on t alone, so every
-    bettor of the process shares one entry per step.
+    the covering interval of length 2^k that contains t; it starts at t
+    with its k low bits cleared.  So levels k and k + 1 share a start
+    unless bit k of t is set, and birth order (start time, then level) is
+    the groups of equal start from the top level down, each group in
+    ascending level.  Every sum over the experts runs in birth order,
+    including the one that normalizes their priors.
     """
     if t == 0:
         return (), ()  # no expert before the first step
-    starts = [t1 for t1, _ in covering_intervals(t)]
-    # tuples of ints and floats, which the garbage collector stops tracking
-    order = tuple(sorted(range(len(starts)), key=lambda k: (starts[k], k)))
-    priors = [_interval_prior(starts[k]) for k in order]
+    order = []
+    priors = []
+    top = t.bit_length()
+    for k in range(top - 1, -1, -1):
+        if k == 0 or t >> (k - 1) & 1:
+            # levels k .. top-1 start at t with k low bits cleared
+            order.extend(range(k, top))
+            priors.extend([_interval_prior(t >> k << k)] * (top - k))
+            top = k
     prior_sum = float(np.array(priors).sum())
-    return order, tuple(p / prior_sum for p in priors)
+    # tuples of ints and floats, which the garbage collector stops tracking
+    return tuple(order), tuple(p / prior_sum for p in priors)
+
+
+# every bettor of the process shares one birth order per step: the steps
+# below BIRTH_ORDER_CACHED, which every trial passes, for the life of the
+# process, and the few latest above it, which the bettors of one trial read
+_cached_birth_order = lru_cache(maxsize=None)(_birth_order_of)
+_recent_birth_order = lru_cache(maxsize=LOOKAHEAD_BLOCK)(_birth_order_of)
+
+
+def _birth_order(t: int):
+    if t < BIRTH_ORDER_CACHED:
+        return _cached_birth_order(t)
+    return _recent_birth_order(t)
 
 
 class CBCEBettor:
@@ -228,8 +252,8 @@ class CBCEBettor:
     2^k divides t, and a new level opens at every power of two.  The
     experts' universal-portfolio wealth rows and bets stay in level order;
     the meta loop visits the experts in birth order, whose order and
-    normalized priors depend on t alone and are computed once per t for the
-    whole process.  It sums the raw weights r and r * bet as it goes, and
+    normalized priors depend on t alone and are shared by every bettor of
+    the process.  It sums the raw weights r and r * bet as it goes, and
     the meta bet is their ratio.
 
     Call ``step(o_prev)`` once per time step, passing the estimate

@@ -1,6 +1,7 @@
 """Admissible intervals, UP experts, covering intervals, CBCE, growth rates."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -447,7 +448,7 @@ def test_cbce_bettors_share_the_birth_order_cache():
         for b, stream, bl, out in zip(bettors, streams, blocks, together):
             out.append(trace(b, stream, bl, t))
     for (iv, bounds, k, _), stream, bl, want in zip(configs, streams, blocks, together):
-        bt._birth_order.cache_clear()
+        bt._cached_birth_order.cache_clear()
         alone = bt.CBCEBettor(iv, bounds, k)
         assert [trace(alone, stream, bl, t) for t in range(1, steps + 1)] == want
 
@@ -480,6 +481,29 @@ def test_cbce_wealth_stays_finite_at_long_horizons():
         if t % bt.LOOKAHEAD_BLOCK == 0:
             assert np.array_equal(wealth.max(axis=-1), np.ones(t.bit_length())), t
         o_prev = bounds[t % 2]
+
+
+def test_cbce_process_state_stays_bounded_at_long_horizons():
+    # the birth orders kept for the whole process cover the steps below
+    # BIRTH_ORDER_CACHED and a few recent ones, so the last 2^13 of 2^16
+    # steps leave memory flat (the interpreter's tuple free lists fill
+    # before the traced window)
+    bounds = (-3.0, 3.0)
+    bettor = bt.CBCEBettor(bt.lambda_interval(bounds), bounds)
+    steps, window = 1 << 16, 1 << 13
+    stream = np.random.default_rng(65536).uniform(*bounds, size=steps).tolist()
+    bettor.step(None)
+    for t in range(2, steps - window):
+        bettor.step(stream[t - 2])
+    tracemalloc.start()
+    try:
+        for t in range(steps - window, steps + 1):
+            bettor.step(stream[t - 2])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an entry per step for the whole process holds about 0.7 KB, 6 MB here
+    assert held < 100_000
 
 
 def sar_ratio(t_len, rng):
