@@ -492,8 +492,15 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
             ahead = list(block[:-1].T)
         else:
             count = min(lookahead_block((t - 1) // n + 1) * n, sc.run_cap + 1 - t)
-            # step s measures observable (s - 1) mod n; drawn in step order
-            outcomes = [rt.source(s)[(s - 1) % n].draw(rng) for s in range(t, t + count)]
+            # step s measures observable (s - 1) mod n in its state: one
+            # block of uniforms, each looked up in its step's table as
+            # _EigenTable.draw looks up its one uniform
+            pre, post = rt.sources
+            change = sc.nu if sc.nu is not None else t + count
+            outcomes = []
+            for s, u in zip(range(t, t + count), rng.random(count).tolist()):
+                table = (pre if s < change else post)[(s - 1) % n]
+                outcomes.append(table._values[bisect_right(table._cum, u)])
             steps = [((j % n,), (o,)) for j, o in enumerate(outcomes)]
             ahead = [outcomes[i::n][:-1] for i in range(n)]
         for measured, values in steps:

@@ -504,17 +504,45 @@ def count_draws(monkeypatch):
     return drawn
 
 
+def count_uniforms(monkeypatch):
+    """Wrap the generator a trial seeds; returns the uniforms of each call
+    to its ``random``."""
+    counted = []
+    real = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def random(self, size=None):
+            counted.append(1 if size is None else size)
+            return self._rng.random(size)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(hz.np.random, "default_rng", Counting)
+    return counted
+
+
 @pytest.mark.parametrize("policy", ["emcd_rr", "emcd_ucb"])
 def test_matched_trials_draw_one_eigenvalue_per_step(policy, monkeypatch):
     # a CUSUM on neutral bets never stops, so every step up to the cap is
-    # drawn; nu = 37 and the cap of 203 fall inside round-robin blocks
+    # drawn; nu = 37 and the cap of 203 fall inside round-robin blocks.
+    # UCB draws each step's eigenvalue with _EigenTable.draw; round-robin
+    # looks each step's up from one array of uniforms per block
     sc = scenario(d=2, policy=policy, observables={"rotated": 3}, nu=37, alpha=0.01,
                   run_cap=203, detector="cusum", betting={"constant": 0.0})
     rt = hz.ScenarioRuntime(sc)
     drawn = count_draws(monkeypatch)
+    uniforms = count_uniforms(monkeypatch)
     r = hz.run_trial(sc, 7, runtime=rt)
     assert r.censored and r.stop_time == 203
-    assert drawn == {"table": 0, "direct": 0, "eigen": r.stop_time}
+    assert sum(uniforms) == r.stop_time
+    ucb = policy == "emcd_ucb"
+    assert drawn == {"table": 0, "direct": 0, "eigen": r.stop_time if ucb else 0}
+    # round-robin blocks of 1, 2, 4, 8, 16, 16, 16 rounds of 3 steps, and 14 steps to the cap
+    assert len(uniforms) == (r.stop_time if ucb else 8)
 
 
 @pytest.mark.parametrize("overrides, site", [
