@@ -116,7 +116,8 @@ def _set_path(data, dotted, value):
 def _cmd_sweep(args):
     _require_counts(args, "runs", "parallelism")
     written = _read_document(args.scenario)
-    base = _scenario_from(written).to_dict()
+    base_scenario = _scenario_from(written)
+    base = base_scenario.to_dict()
     if written.get("run_cap") is None:
         # a cap the document leaves to its default follows each swept alpha
         base["run_cap"] = None
@@ -134,6 +135,9 @@ def _cmd_sweep(args):
         "delay_q10", "delay_q25", "delay_q50", "delay_q75", "delay_q90",
         "false_alarm_fraction", "censored_fraction", "d_star_reference",
     ]
+    # values that change neither the observables nor d share the base's
+    prebuilt = (None if args.param.split(".")[0] in ("observables", "d")
+                else base_scenario._observables)
     # every value is checked, down to its runtime (bounds, bet intervals),
     # before any is run
     runtimes = []
@@ -141,7 +145,7 @@ def _cmd_sweep(args):
         data = harness._copy_jsonish(base)
         _set_path(data, args.param, value)
         try:
-            runtimes.append(harness.ScenarioRuntime(harness.Scenario.from_dict(data)))
+            runtimes.append(harness.ScenarioRuntime(harness.Scenario.from_dict(data, prebuilt)))
         except harness.ScenarioError as exc:
             raise SystemExit2(f"sweep value {value!r}: {exc}")
     lines = [",".join(header)]

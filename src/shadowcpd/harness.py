@@ -15,7 +15,7 @@ import math
 import statistics
 import sys
 from bisect import bisect_right
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -103,6 +103,8 @@ class Scenario:
     form: reals as floats, weights as a tuple, the betting block with every
     field filled in, the run cap 20 ceil(1/alpha) for null, and the policy
     object {"emcd_ucb": {"delta": ...}} as the policy name and ``ucb_delta``.
+    ``prebuilt``, the observables of another scenario with the same
+    observable rule and d, is shared instead of built again.
     """
 
     d: int
@@ -119,8 +121,9 @@ class Scenario:
     run_cap: int | None = None
     bounds_mode: str = "auto"
     ucb_delta: float = UCB_DEFAULT_DELTA
+    prebuilt: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, prebuilt):
         if isinstance(self.policy, dict):
             self._read_policy_object()
         for name in ("theta0", "theta1", "alpha"):
@@ -132,7 +135,10 @@ class Scenario:
             _require(self.d <= MAX_LOCAL_QUBITS, "scenario.d", f"local ensemble supports d <= {MAX_LOCAL_QUBITS}")
         else:
             _require(self.d <= MAX_JOINT_QUBITS, "scenario.d", f"joint ensemble supports d <= {MAX_JOINT_QUBITS}")
-        self._validate_observables()
+        if prebuilt is None:
+            self._validate_observables()
+        else:
+            object.__setattr__(self, "_observables", prebuilt)
         _require(_is_real(self.theta0) and -1.0 <= self.theta0 <= 0.0, "scenario.theta0",
                  "pre-change mixing angle must be a real in [-1, 0]")
         _require(_is_real(self.theta1) and -1.0 <= self.theta1 <= 1.0, "scenario.theta1",
@@ -255,7 +261,7 @@ class Scenario:
         return doc
 
     @staticmethod
-    def from_dict(data: dict) -> "Scenario":
+    def from_dict(data: dict, prebuilt: tuple | None = None) -> "Scenario":
         _require(isinstance(data, dict), "scenario", "must be a JSON object")
         names = [f.name for f in FIELDS]
         for key in data:
@@ -263,7 +269,7 @@ class Scenario:
         for f in FIELDS:
             if f.default is MISSING and f.default_factory is MISSING:
                 _require(f.name in data, f"scenario.{f.name}", "missing required field")
-        return Scenario(**_copy_jsonish(data))
+        return Scenario(**_copy_jsonish(data), prebuilt=prebuilt)
 
 
 #: the scenario document's fields in order, each required or with its default

@@ -292,6 +292,35 @@ def test_run_and_sweep_build_one_runtime_per_scenario(policy, tmp_path, capsys, 
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("param, values, builds", [
+    # the echoed base and every value share the base's observables
+    ("theta1", "0.5,0.8,1.0", 2),
+    ("betting.cbce.grid", "8,16,32", 2),
+    # a swept d or rule builds each value's own
+    ("d", "2,2", 6),
+])
+def test_sweep_builds_observables_once(param, values, builds, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "scenario.json"
+    eye, xx = qc.pauli_string("II").mat, qc.pauli_string("XX").mat
+    doc = dict(BASE, d=2, observables={"matrices": [m.real.tolist()
+                                                    for m in (xx / 2 + eye / 4, xx)]})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    parsed = []
+    parse = hz._parse_matrix
+
+    def counting_parse(entry, d, where):
+        parsed.append(where)
+        return parse(entry, d, where)
+
+    monkeypatch.setattr(hz, "_parse_matrix", counting_parse)
+    assert cli.main(["sweep", "--scenario", str(path), "--param", param,
+                     "--values", values, "--runs", "1"]) == 0
+    assert len(parsed) == builds
+    assert sorted(set(parsed)) == ["scenario.observables.matrices[0]",
+                                   "scenario.observables.matrices[1]"]
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # preset
 
