@@ -43,6 +43,8 @@ JSON_PATH = Path(__file__).resolve().with_suffix(".json")
 RECORD_SEED = 18_0001
 CHECK_SEED = 18_0002
 FAMILY_LEVEL = 0.01
+# worker processes per batch; trials are the same at any parallelism
+PARALLELISM = 2
 
 _NULL = {"d": 2, "ensemble": "local", "observables": {"rotated": 1}, "theta0": -0.5,
          "theta1": 1.0, "nu": None, "alpha": 0.01, "policy": "escd", "run_cap": 2000}
@@ -147,12 +149,12 @@ def _src_sha256() -> str:
     return h.hexdigest()
 
 
-def stop_times(harness, doc, runs: int, seed: int, parallelism: int):
+def stop_times(harness, doc, runs: int, seed: int):
     sc = harness.Scenario.from_dict(doc)
-    return [r.stop_time for r in harness.run_experiment(sc, runs, seed, parallelism)]
+    return [r.stop_time for r in harness.run_experiment(sc, runs, seed, PARALLELISM)]
 
 
-def record(parallelism: int) -> None:
+def record() -> None:
     harness = _package()
     out = {
         "family_level": FAMILY_LEVEL,
@@ -166,7 +168,7 @@ def record(parallelism: int) -> None:
     }
     for i, (name, doc, runs) in enumerate(SCENARIOS):
         t0 = time.perf_counter()
-        sample = stop_times(harness, doc, runs, RECORD_SEED + i, parallelism)
+        sample = stop_times(harness, doc, runs, RECORD_SEED + i)
         print(f"{name:16s} {runs:5d} runs  mean {np.mean(sample):8.2f}  "
               f"{time.perf_counter() - t0:6.1f}s", flush=True)
         out["scenarios"].append({"name": name, "scenario": doc, "runs": runs,
@@ -175,7 +177,7 @@ def record(parallelism: int) -> None:
     print(f"wrote {JSON_PATH.relative_to(ROOT)}")
 
 
-def check(parallelism: int) -> bool:
+def check() -> bool:
     harness = _package()
     frozen = json.loads(JSON_PATH.read_text(encoding="utf-8"))
     ks_level = frozen["ks_level"]
@@ -186,7 +188,7 @@ def check(parallelism: int) -> bool:
     all_ok = True
     for i, entry in enumerate(frozen["scenarios"]):
         new = stop_times(harness, entry["scenario"], entry["runs"],
-                         frozen["check_seed"] + i, parallelism)
+                         frozen["check_seed"] + i)
         res = compare(entry["stop_times"], new, ks_level, frozen["mean_se"])
         all_ok = all_ok and res["ok"]
         print(f"{entry['name']:16s} {res['mean_ref']:9.2f} {res['mean_new']:9.2f} "
@@ -201,12 +203,11 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--record", action="store_true", help=f"write {JSON_PATH.name}")
     mode.add_argument("--check", action="store_true", help=f"compare against {JSON_PATH.name}")
-    parser.add_argument("--parallelism", type=int, default=2)
     args = parser.parse_args(argv)
     if args.record:
-        record(args.parallelism)
+        record()
         return 0
-    return 0 if check(args.parallelism) else 1
+    return 0 if check() else 1
 
 
 if __name__ == "__main__":
