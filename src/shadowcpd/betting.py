@@ -200,31 +200,27 @@ def _interval_prior(t1: int) -> float:
 
 
 def _birth_order_of(t: int):
-    """Levels of the experts CBCE holds at step t, in birth order, and their
-    normalized priors in that order.
+    """The groups of copies among the experts CBCE holds at step t, in birth
+    order: per group its top level, normalized prior and age divisor.
 
     At step t one expert lives on each level k = 0 .. t.bit_length() - 1,
     the covering interval of length 2^k that contains t; it starts at t
     with its k low bits cleared.  So levels k and k + 1 share a start
-    unless bit k of t is set, and birth order (start time, then level) is
-    the groups of equal start from the top level down, each group in
-    ascending level.  Every sum over the experts runs in birth order,
-    including the one that normalizes their priors.
+    unless bit k of t is set, and the levels of one start, having absorbed
+    the same estimates since the same restart, are copies of one expert.
+    The groups' top levels are the set bits of t, highest first, which is
+    birth order.  A group's prior is its size times its start's, over the
+    exactly rounded sum; its experts have absorbed age divisor - 1 rounds.
     """
-    if t == 0:
-        return (), ()  # no expert before the first step
-    order = []
-    priors = []
-    top = t.bit_length()
-    for k in range(top - 1, -1, -1):
-        if k == 0 or t >> (k - 1) & 1:
-            # levels k .. top-1 start at t with k low bits cleared
-            order.extend(range(k, top))
-            priors.extend([_interval_prior(t >> k << k)] * (top - k))
-            top = k
-    prior_sum = float(np.array(priors).sum())
-    # tuples of ints and floats, which the garbage collector stops tracking
-    return tuple(order), tuple(p / prior_sum for p in priors)
+    tops = [k for k in range(t.bit_length() - 1, -1, -1) if t >> k & 1]
+    priors = [(top - low) * _interval_prior(t >> top << top)
+              for top, low in zip(tops, tops[1:] + [-1])]
+    prior_sum = math.fsum(priors)
+    # tuples of ints and floats, which the garbage collector stops tracking;
+    # built from a list, so each is allocated at its length and freed to
+    # that length's free list
+    return tuple([(top, p / prior_sum, (t & ((1 << top) - 1)) + 1)
+                  for top, p in zip(tops, priors)])
 
 
 # every bettor of the process shares one birth order per step: the steps
@@ -250,11 +246,13 @@ class CBCEBettor:
 
     Expert state is held per level: the level-k expert restarts whenever
     2^k divides t, and a new level opens at every power of two.  The
-    experts' universal-portfolio wealth rows and bets stay in level order;
-    the meta loop visits the experts in birth order, whose order and
-    normalized priors depend on t alone and are shared by every bettor of
-    the process.  It sums the raw weights r and r * bet as it goes, and
-    the meta bet is their ratio.
+    experts' universal-portfolio wealth rows and bets stay in level order.
+    Experts that share a start are copies, so the meta loop visits one per
+    start, the top level of each group, in birth order; the groups and
+    their priors depend on t alone and are shared by every bettor of the
+    process.  A level is a group's top from its restart on, so the coin
+    state of the other levels is never read.  The loop sums the raw
+    weights r and r * bet as it goes, and the meta bet is their ratio.
 
     Call ``step(o_prev)`` once per time step, passing the estimate
     observed after the previous bet (absent only on the first call).
@@ -314,22 +312,27 @@ class CBCEBettor:
     @property
     def entries(self):
         """(t1, t2) of the experts behind the last bet, in birth order."""
-        t = self.t - 1
-        return [((t >> k) << k, (((t >> k) + 1) << k) - 1) for k in _birth_order(t)[0]]
+        # birth order is by start, then by level, so by (t1, t2)
+        return sorted(covering_intervals(self.t - 1)) if self.t > 1 else []
 
     @property
     def last_weights(self) -> np.ndarray:
         """Meta weights of the experts behind the last bet, in birth order:
-        raw weights r over their sum, or the priors when no expert is backed."""
-        order, priors = _birth_order(self.t - 1)
+        each group's raw weight r over their sum, or its prior when no
+        expert is backed, spread evenly over the group's levels."""
+        groups = _birth_order(self.t - 1)
         raw = []
         total = 0.0
-        for lv, prior in zip(order, priors):
+        for lv, prior, _ in groups:
             stake = self._beta[lv] * self._wealth[lv]
             r = prior * stake if stake > 0.0 else 0.0
             raw.append(r)
             total += r
-        return np.array(raw) / total if total > 0.0 else np.array(priors)
+        weights = (np.array(raw) / total if total > 0.0
+                   else np.array([prior for _, prior, _ in groups]))
+        tops = [lv for lv, _, _ in groups]
+        sizes = np.subtract(tops, tops[1:] + [-1])
+        return np.repeat(weights / sizes, sizes)
 
     def step(self, o_prev=None, ahead=None) -> float:
         t = self.t
@@ -372,22 +375,22 @@ class CBCEBettor:
                 up[:born] = 1.0
             if not t % LOOKAHEAD_BLOCK:
                 _renormalize(up)
-            bets = _portfolio_bets(up, self.grid)
+            bets = _portfolio_bets(up, self.grid).tolist()
             if ahead is not None and len(ahead):
                 self._look_ahead(ahead, levels)
-        bets = bets.tolist()
-        order, priors = _birth_order(t)
+        groups = _birth_order(t)
+        log1p = math.log1p
         sum_g, wealth = self._sum_g, self._wealth
         beta, lam, backed = self._beta, self._lam, self._backed
         scale = self._scale
         total = mix = 0.0
-        for lv, prior in zip(order, priors):
+        for lv, prior, age in groups:
             if lv < born:
                 sum_g[lv] = 0.0
                 wealth[lv] = 1.0
             else:
                 # absorb o_hat with the bet this expert made last step
-                g = (meta_loss + math.log1p(lam[lv] * o_hat)) / scale
+                g = (meta_loss + log1p(lam[lv] * o_hat)) / scale
                 if g > 1.0:
                     g = 1.0
                 elif g < -1.0:
@@ -396,8 +399,8 @@ class CBCEBettor:
                     g = 0.0
                 wealth[lv] *= 1.0 + beta[lv] * g
                 sum_g[lv] += g
-            # the level-lv expert has absorbed t mod 2^lv rounds
-            b = sum_g[lv] / ((t & ((1 << lv) - 1)) + 1)
+            # the level-lv expert has absorbed age - 1 rounds
+            b = sum_g[lv] / age
             beta[lv] = b
             bet = lam[lv] = bets[lv]
             stake = b * wealth[lv]
@@ -412,7 +415,7 @@ class CBCEBettor:
             mix /= total
         else:
             # no expert is backed: the prior-weighted bet
-            for lv, prior in zip(order, priors):
+            for lv, prior, _ in groups:
                 mix += prior * bets[lv]
         lo, hi = self._clip
         self.last_lam = min(max(mix, lo), hi)
@@ -446,7 +449,7 @@ class CBCEBettor:
             live = (s & -s).bit_length()
             np.multiply(prev[live:], factor, out=row[live:])
             prev = row
-        self._block_bets = _portfolio_bets(rows, self.grid)
+        self._block_bets = _portfolio_bets(rows, self.grid).tolist()
         self._up_wealth = rows[-1]
         self._ahead = ahead.tolist()
         self._block_start = t

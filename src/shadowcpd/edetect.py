@@ -76,13 +76,11 @@ class SequentialDetector:
     def __init__(self, config: DetectorConfig):
         self.config = config
         n = config.n_observables
-        self._w = np.asarray(config.weights, dtype=float)
+        self._w = config.weights
         self._logw = np.log(self._w)
-        # per-observable mantissas and log offsets of the configured statistic;
-        # the mantissas are mirrored in an array that the mixture dot reads
+        # per-observable mantissas and log offsets of the configured statistic
         self._sr = config.kind == SR
         self._m = [0.0] * n
-        self._m_arr = np.zeros(n)
         self._off = [0.0] * n
         self._promoted = False  # any offset nonzero
         self._threshold = config.threshold
@@ -101,7 +99,7 @@ class SequentialDetector:
         if len(increments) != len(self._m):
             raise ValueError(f"expected {self.n_observables} increments, got {len(increments)}")
         self.t += 1
-        mant, arr, off, sr = self._m, self._m_arr, self._off, self._sr
+        mant, off, sr = self._m, self._off, self._sr
         for i, incr in enumerate(increments):
             if incr is None:
                 continue
@@ -114,7 +112,7 @@ class SequentialDetector:
                 m /= PROMOTE_AT
                 off[i] += _LOG_PROMOTE
                 self._promoted = True
-            mant[i] = arr[i] = m
+            mant[i] = m
         mixture, stop = self._decide()
         if stop:
             self.stopped = True
@@ -124,13 +122,16 @@ class SequentialDetector:
         return self._decide()[0]
 
     def _decide(self):
-        m = self._m_arr
         if not self._promoted:
-            # exact in linear scale, so a boundary hit M == threshold stops
-            mixture = float(np.dot(self._w, m))
+            # exact in linear scale, so a boundary hit M == threshold stops;
+            # summed over the observables in their declared order
+            mixture = 0.0
+            for w, m in zip(self._w, self._m):
+                mixture += w * m
+            mixture = float(mixture)  # the mantissas may be numpy scalars
             return mixture, mixture >= self._threshold
         with np.errstate(divide="ignore"):
-            logs = self._logw + np.log(m) + self._off
+            logs = self._logw + np.log(self._m) + self._off
         lm = float(np.logaddexp.reduce(logs))
         mixture = math.exp(lm) if lm < _EXP_MAX else math.inf
         return mixture, lm >= self._log_threshold

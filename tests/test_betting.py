@@ -248,7 +248,8 @@ class ReferenceCBCE:
 
     Wealth rows are multiplied by 1 + grid * o, divided by their maxima at
     every step that ``LOOKAHEAD_BLOCK`` divides, and bet from in level
-    order; the meta bet sums r and r * bet in birth order."""
+    order; the meta bet sums r and r * bet in birth order, once per start
+    time, and spreads each start's weight evenly over its records."""
 
     def __init__(self, interval, o_bounds, k=bt.UP_GRID_SIZE):
         self.interval = interval
@@ -287,8 +288,17 @@ class ReferenceCBCE:
             self.wealth = np.vstack([self.wealth, np.ones((len(born), self.k))])
         if t % bt.LOOKAHEAD_BLOCK == 0:
             self.wealth /= self.wealth.max(axis=-1, keepdims=True)
-        prior = np.array([1.0 / (e.t1 * e.t1 * (1 + int(math.log2(e.t1)))) for e in self.entries])
-        prior /= prior.sum()
+        # the records of one start are copies of one expert: the meta sums
+        # fold each start into the longest record, weighted by the start's
+        # prior times its record count, normalized by their exact sum
+        starts = {}
+        for i, e in enumerate(self.entries):
+            starts.setdefault(e.t1, []).append(i)
+        tops = [ids[-1] for ids in starts.values()]
+        counts = [len(ids) for ids in starts.values()]
+        folded = [n * (1.0 / (t1 * t1 * (1 + int(math.log2(t1))))) for t1, n in zip(starts, counts)]
+        norm = math.fsum(folded)
+        prior = np.repeat([p / norm for p in folded], counts)
         # the bet matrix holds the rows in level order, the level being
         # log2 of the interval's length
         levels = [(e.t2 - e.t1 + 1).bit_length() - 1 for e in self.entries]
@@ -296,22 +306,23 @@ class ReferenceCBCE:
         lams = np.empty(len(levels))
         lams[by_level] = ref_up_bets(self.wealth[by_level], self.grid)
         raw = np.empty(len(self.entries))
-        total = mix = 0.0
         for i, e in enumerate(self.entries):
             e.beta = e.sum_g / (e.rounds + 1)
             e.lam = float(lams[i])
             raw[i] = prior[i] * max(0.0, e.beta * e.wealth)
             e.backed = raw[i] > 0.0
+        total = mix = 0.0
+        for i in tops:
             total += raw[i]
-            mix += raw[i] * e.lam
+            mix += raw[i] * self.entries[i].lam
         if total > 0.0:
-            self.last_weights = raw / total
+            self.last_weights = np.repeat(raw[tops] / total / counts, counts)
             lam = mix / total
         else:
-            self.last_weights = prior
+            self.last_weights = np.repeat(prior[tops] / counts, counts)
             lam = 0.0
-            for p, e in zip(prior, self.entries):
-                lam += p * e.lam
+            for i in tops:
+                lam += prior[i] * self.entries[i].lam
         self.last_lam = self.interval.clip(float(lam))
         self.t += 1
         return self.last_lam
@@ -382,6 +393,56 @@ def test_cbce_matches_reference_bit_for_bit(k, two_sided):
                 assert np.array_equal(fast.last_weights, weights), (name, schedule, t)
                 assert fast.entries == entries, (name, schedule, t)
                 o_prev = o
+
+
+def test_reference_records_of_one_start_are_copies():
+    # the fold rests on this: records that share a start have absorbed the
+    # same estimates since the same restart under equal priors, so their
+    # coin state and wealth rows agree bit for bit.  At grid 7; at grid 64
+    # BLAS rounds rows of the bet matrix by their position, and the bets of
+    # some copies split by an ulp.
+    bounds = (-1.0, 9.0)
+    interval = bt.lambda_interval(bounds)
+    steps = 3000
+    streams = _oracle_streams(*bounds, steps)
+    pairs = 0
+    for name in ("uniform", "extremes", "two-valued"):
+        ref = ReferenceCBCE(interval, bounds, 7)
+        o_prev = None
+        for t, o in enumerate(streams[name], start=1):
+            ref.step(o_prev)
+            for i, (a, b) in enumerate(zip(ref.entries, ref.entries[1:])):
+                if a.t1 != b.t1:
+                    continue
+                state = [(x.sum_g.hex(), x.wealth.hex(), x.beta.hex(), x.backed) for x in (a, b)]
+                assert state[0] == state[1], (name, t, a.t2, b.t2)
+                assert ref.wealth[i].tobytes() == ref.wealth[i + 1].tobytes(), (name, t, i)
+                pairs += 1
+            o_prev = o
+    # every step holds bit_length(t) records in popcount(t) starts
+    assert pairs == 3 * sum(t.bit_length() - bin(t).count("1") for t in range(1, steps + 1))
+
+
+@pytest.mark.parametrize("two_sided", [True, False])
+@pytest.mark.parametrize("name", ["uniform", "extremes"])
+def test_cbce_powers_of_two_are_exact(name, two_sided):
+    # at t = 2^k every expert restarts: one group with prior 1.0 and no
+    # stake, so the meta bet is that group's UP bet bit for bit.  At 2^k + 1
+    # the surviving group's gain is then exactly 0: it is not backed, and
+    # that does not hang on the sign of a rounding.
+    bounds = (-1.0, 9.0)
+    full = bt.lambda_interval(bounds)
+    interval = full if two_sided else full.nonnegative()
+    bettor = bt.CBCEBettor(interval, bounds)
+    o_prev = None
+    for t, o in enumerate(_oracle_streams(*bounds, 4097)[name], start=1):
+        lam = bettor.step(o_prev)
+        top = t.bit_length() - 1
+        if t & (t - 1) == 0:
+            assert lam == bettor._lam[top], t
+        elif (t - 1) & (t - 2) == 0:
+            assert bettor._sum_g[top] == 0.0 and not bettor._backed[top], t
+        o_prev = o
 
 
 def test_cbce_lookahead_rejects_misuse():

@@ -268,7 +268,10 @@ class ReferenceDetector:
         else:
             m, off = self.mcu, self.ocu
         if not off.any():
-            mixture = float(np.dot(self.w, m))
+            # summed over the observables in their declared order
+            mixture = 0.0
+            for w, x in zip(self.w.tolist(), m.tolist()):
+                mixture += w * x
             return mixture, mixture >= self.config.threshold
         with np.errstate(divide="ignore"):
             lm = float(np.logaddexp.reduce(self.logw + np.log(m) + off))

@@ -79,20 +79,20 @@ BENCH_BASE = {"d": 2, "ensemble": "local", "observables": {"rotated": 1}, "theta
 #: (overrides of BENCH_BASE, runs at master seed 1, CSV digest, summary digest)
 BENCH_BATCHES = {
     "null-arl-sr": ({"detector": "sr"}, 4,
-                    "2217d1f6ef7f3850504f92202b17a3d7b3aaab8c1fcd702f08803d3226b0f4bb",
-                    "88793567aed7412fa82c7f674426a25365878da6a72432bb5350baae797abfed"),
+                    "31c65ccfddb83b30bc8b34abb3c136b538889fd3292edd1120ce4bf5f86d20ff",
+                    "e792fe32b3e31c14b0d02630af269edeb43a87c79cda86e23f48df5c8c630a8a"),
     "null-arl-cusum": ({"detector": "cusum"}, 4,
                        "80fb3034f19016293998ccc825a5b7080196bd4f92921fb6c19341ff5ff2a344",
                        "7019b7ab07446a8bbed0e3c093b61a6f0803bf4b11a3e2b4859adcad0d8fecb9"),
     "ucb-n8": ({"policy": "emcd_ucb", "observables": {"rotated": 8}, "nu": 200}, 20,
-               "3308d060c802d5f8088708f3bed03981bac934afd6c9b67396760baacd030e74",
-               "9da7e3e3fa49d66140bb283138ebb495b0b39b28e2ff3a96fb385c0c3707158b"),
+               "c6c230a43bd33c89e80d923a7dd37ffd00a9254e134ee08e23e57f11cbc1cfdd",
+               "d0943db565c7ea9404124e9d04af076dd5225d2f60787f0551ae5b9f016db9df"),
     "joint-d2": ({"ensemble": "joint", "theta1": 0.8, "nu": 50}, 40,
-                 "3c610c416beb786119c2e4df6eaccfe9ce0b6301a8de33df0960f459103659cf",
-                 "2e9be80a1f8fb943863a86bdd681c60345065addf047540531e5ca56ba1d4f53"),
+                 "5fcbe1612c65b802483b2e6ac39d7c14f0d5f51c4da87d504ce8b1742ef7eb15",
+                 "34e64e0a3e346eaa447030310b15805b8450d955062644bb2741147647896cfa"),
     "joint-d3": ({"ensemble": "joint", "theta1": 0.8, "nu": 50, "d": 3}, 40,
-                 "7ce1ea159e92def1e133fe95a1a0b140566555c7a0509e6c6bf99fe09d13203c",
-                 "6ea74a5b2dd6a818fbab242f5d332afdeb71bcb7e2bbe620aa62524ad2c55c1e"),
+                 "86fdb8110d463aa65c7b7f5f2254936b78bfc6ff0552b51d7bed0ab3eac6cd1a",
+                 "61438a26d3884584e536c750e78981208bd0c215678ab61b3927c17527345a4d"),
 }
 
 

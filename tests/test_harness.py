@@ -393,9 +393,11 @@ def test_emcd_policies_run():
 
 #: results_csv SHA-256 of short experiments on the direct samplers, recorded
 #: with the float projector lift of joint Cliffords and the analytic bounds;
-#: the sampled unitaries, Born draws and estimates must keep every bit
+#: the sampled unitaries, Born draws and estimates must keep every bit.  The
+#: stop times also carry the CBCE arithmetic, so a change that moves
+#: trajectories moves these digests as well.
 DIRECT_SAMPLER_DIGESTS = {
-    "joint": ("4582905f5a6974a2484f4bc083f6986de0ae5ec01e585cf10e64dcfb50a59e90",
+    "joint": ("af769f0813ab56f48a922e3104bdc14abccd8265bb82b295ef8a73bfc993a6d3",
               dict(d=3, theta1=0.8, bounds_mode="analytic")),
     "local": ("be6b9f1cbad61be89461c6725c9c6028472c1729d18bddaf93d8fb9c929afd45",
               dict(d=4, observables={"rotated": 2})),
