@@ -154,6 +154,12 @@ def stop_times(harness, doc, runs: int, seed: int):
     return [r.stop_time for r in harness.run_experiment(sc, runs, seed, PARALLELISM)]
 
 
+def _tree() -> dict:
+    """What a sample is drawn from: this tree's ``src/`` and its numpy and python."""
+    return {"src_sha256": _src_sha256(), "numpy": np.__version__,
+            "python": platform.python_version()}
+
+
 def record() -> None:
     harness = _package()
     out = {
@@ -162,8 +168,7 @@ def record() -> None:
         "mean_se": MEAN_SE,
         "record_seed": RECORD_SEED,
         "check_seed": CHECK_SEED,
-        "recorded_from": {"src_sha256": _src_sha256(), "numpy": np.__version__,
-                          "python": platform.python_version()},
+        "recorded_from": _tree(),
         "scenarios": [],
     }
     for i, (name, doc, runs) in enumerate(SCENARIOS):
@@ -181,6 +186,9 @@ def check() -> bool:
     harness = _package()
     frozen = json.loads(JSON_PATH.read_text(encoding="utf-8"))
     ks_level = frozen["ks_level"]
+    checked = _tree()
+    for key, recorded in frozen["recorded_from"].items():
+        print(f"{key:10s} recorded {recorded}  checked {checked[key]}")
     print(f"KS level {ks_level:.3g} per scenario (family {frozen['family_level']}), "
           f"means within {frozen['mean_se']:.3f} pooled se")
     print(f"{'scenario':16s} {'mean ref':>9s} {'mean new':>9s} {'z':>6s} "
