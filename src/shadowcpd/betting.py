@@ -21,18 +21,25 @@ import numpy as np
 from .shadows import DirectSampler, estimate_table, outcome_probabilities
 
 UP_GRID_SIZE = 64
+# largest CBCE grid a scenario may ask for: each grid size in use keeps its
+# lookahead rows, LOOKAHEAD_BLOCK * levels * grid * 8 bytes, for the life of
+# the process (11.5 MB at 11 levels here; the README has the measurements)
+MAX_GRID_SIZE = 4096
 GROWTH_GRID_SIZE = 201
 GROWTH_SHOTS = 100_000
 
 # fraction of the unslacked interval width pulled in from each end
 DEFAULT_SLACK_FRACTION = 0.005
 
-# steps of a full lookahead block; a power of two, so the block's
-# (steps, levels, grid) temporaries stay under glibc's 128 KiB mmap
-# threshold up to t = 2^15 at the default grid.  Universal-portfolio wealth
-# is renormalized at the steps it divides, and no lookahead block holds such
-# a step after its first.
-LOOKAHEAD_BLOCK = 16
+# steps of a full lookahead block; a power of two, so a block never
+# crosses one.  The wealth rows of a block live in one (LOOKAHEAD_BLOCK,
+# levels, grid) buffer per grid size, kept for the life of the process (16
+# KiB per level at the default grid), so no block allocates them.
+LOOKAHEAD_BLOCK = 32
+
+# universal-portfolio wealth is renormalized at every step this divides,
+# inside lookahead blocks as well
+RENORMALIZE_EVERY = 16
 
 _MC_CHUNK = 4096
 
@@ -139,18 +146,19 @@ def _portfolio_bets(wealth: np.ndarray, grid: np.ndarray):
 
 def _renormalize(wealth: np.ndarray) -> None:
     """Divide each row of wealth by its maximum, in place.  Until the next
-    renormalization a row's leader moves by at most LOOKAHEAD_BLOCK bounded
-    factors; a grid point about 708 nats behind it underflows to 0.0 for
-    good, where a softmax over log-wealth gives it weight 0 as well."""
+    renormalization a row's leader moves by at most RENORMALIZE_EVERY
+    bounded factors; a grid point about 708 nats behind it underflows to 0.0
+    for good, where a softmax over log-wealth gives it weight 0 as well."""
     np.divide(wealth, np.maximum.reduce(wealth, axis=-1, keepdims=True), out=wealth)
 
 
 class UPExpert:
     """Discretized universal-portfolio bettor.
 
-    Holds wealth per grid point, in linear scale and renormalized as a CBCE
-    expert's is; the bet is the wealth-weighted average of the grid, so it
-    tracks the best fixed bet up to a logarithmic regret plus the grid gap.
+    Holds wealth per grid point, in linear scale and renormalized every
+    ``RENORMALIZE_EVERY`` steps as a CBCE expert's is; the bet is the
+    wealth-weighted average of the grid, so it tracks the best fixed bet up
+    to a logarithmic regret plus the grid gap.
     """
 
     def __init__(self, interval: LambdaInterval, o_bounds=None, k: int = UP_GRID_SIZE):
@@ -168,7 +176,7 @@ class UPExpert:
             _check_estimate(o_hat, self.o_bounds)
         self.wealth *= 1.0 + self.grid * o_hat
         self.t += 1
-        if not self.t % LOOKAHEAD_BLOCK:
+        if not self.t % RENORMALIZE_EVERY:
             _renormalize(self.wealth)
 
 
@@ -179,6 +187,38 @@ def lookahead_block(t: int) -> int:
     multiples, so a block never crosses a power of two.
     """
     return min(t & -t, LOOKAHEAD_BLOCK)
+
+
+# grid size -> (wealth rows, factor rows, plan per level count), shared by
+# every bettor of the process (see _block_plan)
+_block_buffers = {}
+
+
+def _block_plan(k: int, levels: int):
+    """The shared (LOOKAHEAD_BLOCK, levels, k) wealth rows and factor rows
+    of a lookahead block, and its later steps as (source, factor,
+    destination) views: row s is row s - 1 times factor s - 1 on the levels
+    that do not restart at the block's step s.
+
+    A block starts at a multiple of a power of two no shorter than it, so
+    the levels below (s & -s).bit_length() restart at its step s whatever
+    its start.  Those entries are set to 1.0 when the rows are allocated and
+    never written again.  The rows are reallocated, and the plans rebuilt,
+    only when a block has more levels than every block before it.
+    """
+    shared = _block_buffers.get(k)
+    if shared is None or shared[0].shape[1] < levels:
+        shared = _block_buffers[k] = (np.ones((LOOKAHEAD_BLOCK, levels, k)),
+                                      np.empty((LOOKAHEAD_BLOCK - 1, k)), {})
+    rows, factors, plans = shared
+    plan = plans.get(levels)
+    if plan is None:
+        steps = []
+        for s in range(1, LOOKAHEAD_BLOCK):
+            live = (s & -s).bit_length()
+            steps.append((rows[s - 1, live:levels], factors[s - 1], rows[s, live:levels]))
+        plan = plans[levels] = (rows[:, :levels], factors, steps)
+    return plan
 
 
 def covering_intervals(t: int):
@@ -246,7 +286,8 @@ class CBCEBettor:
 
     Expert state is held per level: the level-k expert restarts whenever
     2^k divides t, and a new level opens at every power of two.  The
-    experts' universal-portfolio wealth rows and bets stay in level order.
+    experts' universal-portfolio wealth rows and bets stay in level order;
+    the rows are linear and renormalized every ``RENORMALIZE_EVERY`` steps.
     Experts that share a start are copies, so the meta loop visits one per
     start, the top level of each group, in birth order; the groups and
     their priors depend on t alone and are shared by every bettor of the
@@ -262,7 +303,8 @@ class CBCEBettor:
     one pass, with the same bits.  Such a block of 1 + len(ahead) steps
     holds at most ``LOOKAHEAD_BLOCK`` steps and may start at step t only
     if it is no longer than the largest power of two that divides t, so it
-    never crosses a power of two.
+    never crosses a power of two.  Its wealth rows are built in rows that
+    the bettors of one grid size share, renormalized at the same steps.
     """
 
     def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE):
@@ -278,8 +320,9 @@ class CBCEBettor:
         self._beta = []
         self._lam = []
         self._backed = []
-        # the open lookahead block, steps start .. end-1: the expert bets
-        # (in level order) and the estimates promised for its later steps
+        # the open lookahead block, steps start .. end-1: the expert bets of
+        # each step (in level order) and the estimates promised for its later
+        # steps
         self._block_start = self._block_end = 0
         self._block_bets = None
         self._ahead = []
@@ -361,9 +404,9 @@ class CBCEBettor:
             if ahead is not None:
                 raise ValueError(f"step {t} lies inside the lookahead block opened at "
                                  f"step {self._block_start}")
-            bets = self._block_bets[t - self._block_start - 1]
+            bets = self._block_bets[t - self._block_start]
         else:
-            up = self._up_wealth
+            factor = None
             if born < levels:
                 key = o_hat or repr(o_hat)
                 factor = self._factors.get(key)
@@ -371,13 +414,16 @@ class CBCEBettor:
                     factor = 1.0 + self.grid * o_hat
                     if len(self._factors) < FACTOR_CACHE_SIZE:
                         self._factors[key] = factor
-                up[born:] *= factor
-                up[:born] = 1.0
-            if not t % LOOKAHEAD_BLOCK:
-                _renormalize(up)
-            bets = _portfolio_bets(up, self.grid).tolist()
             if ahead is not None and len(ahead):
-                self._look_ahead(ahead, levels)
+                bets = self._open_block(ahead, levels, born, factor)
+            else:
+                up = self._up_wealth
+                if factor is not None:
+                    up[born:] *= factor
+                    up[:born] = 1.0
+                if not t % RENORMALIZE_EVERY:
+                    _renormalize(up)
+                bets = _portfolio_bets(up, self.grid).tolist()
         groups = _birth_order(t)
         log1p = math.log1p
         sum_g, wealth = self._sum_g, self._wealth
@@ -422,38 +468,49 @@ class CBCEBettor:
         self.t = t + 1
         return self.last_lam
 
-    def _look_ahead(self, ahead, levels: int) -> None:
-        """Expert bets of the len(ahead) steps after this one, in level
-        order, from the estimates they will absorb.
+    def _open_block(self, ahead, levels: int, born: int, factor):
+        """Expert bets, in level order, of this step and of the len(ahead)
+        steps after it, from the estimates they will absorb; returns this
+        step's.
 
-        Their wealth rows are built by the per-step product: the row of step
-        t + s multiplies the row of step t + s - 1 by the factor of
-        ahead[s - 1] on the levels that do not restart at t + s; the
-        restarting entries stay 1.0.  No step of the block after its first
-        renormalizes.
+        The block's wealth rows are built in the shared rows of its grid
+        size by the per-step product, as a plain step builds its row: row 0
+        is this bettor's row times ``factor`` on the levels from ``born`` on
+        (all restart when ``factor`` is None), and each later row follows its
+        plan.  A row is renormalized at the steps ``RENORMALIZE_EVERY``
+        divides, the block's middle included.  The bettor keeps a copy of
+        the last row.
         """
         t = self.t
-        count = len(ahead)
-        if count >= lookahead_block(t):
-            raise ValueError(f"a lookahead block of {count + 1} steps cannot start at step {t}")
+        count = 1 + len(ahead)
+        if count > lookahead_block(t):
+            raise ValueError(f"a lookahead block of {count} steps cannot start at step {t}")
         ahead = np.asarray(ahead, dtype=float)
         if not (self._accept[0] <= ahead.min() and ahead.max() <= self._accept[1]):
             for o in ahead.tolist():
                 _check_estimate(o, self.o_bounds)
-        rows = np.ones((count, levels, self.k))
-        factors = 1.0 + self.grid * ahead[:, None]
-        prev = self._up_wealth
-        for s, factor, row in zip(range(1, count + 1), factors, rows):
-            # t is a multiple of a power of two above s, so the levels
-            # below (s & -s).bit_length() restart at step t + s
-            live = (s & -s).bit_length()
-            np.multiply(prev[live:], factor, out=row[live:])
-            prev = row
-        self._block_bets = _portfolio_bets(rows, self.grid).tolist()
-        self._up_wealth = rows[-1]
+        rows, factors, plan = _block_plan(self.k, levels)
+        first = rows[0]
+        if factor is not None:
+            np.multiply(self._up_wealth[born:], factor, out=first[born:])
+        first[:born] = 1.0
+        if not t % RENORMALIZE_EVERY:
+            _renormalize(first)
+        later = factors[:count - 1]
+        np.multiply(ahead[:, None], self.grid, out=later)
+        np.add(later, 1.0, out=later)
+        # a step s > 0 that RENORMALIZE_EVERY divides only lies in a block
+        # that starts at a multiple of it
+        for s, (src, by, dst) in enumerate(plan[:count - 1], start=1):
+            np.multiply(src, by, dst)
+            if not s % RENORMALIZE_EVERY:
+                _renormalize(dst)
+        self._up_wealth[...] = rows[count - 1]
+        self._block_bets = _portfolio_bets(rows[:count], self.grid).tolist()
         self._ahead = ahead.tolist()
         self._block_start = t
-        self._block_end = t + 1 + count
+        self._block_end = t + count
+        return self._block_bets[0]
 
 
 @dataclass(frozen=True)

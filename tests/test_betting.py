@@ -247,7 +247,7 @@ class ReferenceCBCE:
     production bettor must reproduce it bit for bit.
 
     Wealth rows are multiplied by 1 + grid * o, divided by their maxima at
-    every step that ``LOOKAHEAD_BLOCK`` divides, and bet from in level
+    every step that ``RENORMALIZE_EVERY`` divides, and bet from in level
     order; the meta bet sums r and r * bet in birth order, once per start
     time, and spreads each start's weight evenly over its records."""
 
@@ -286,7 +286,7 @@ class ReferenceCBCE:
         if born:
             self.entries.extend(_RefEntry(t1, t2) for t1, t2 in born)
             self.wealth = np.vstack([self.wealth, np.ones((len(born), self.k))])
-        if t % bt.LOOKAHEAD_BLOCK == 0:
+        if t % bt.RENORMALIZE_EVERY == 0:
             self.wealth /= self.wealth.max(axis=-1, keepdims=True)
         # the records of one start are copies of one expert: the meta sums
         # fold each start into the longest record, weighted by the start's
@@ -343,7 +343,7 @@ def _oracle_streams(lower, upper, steps):
 
 #: lookahead schedules: None steps plainly, a number opens blocks of that
 #: many steps (shorter where t allows fewer), "mixed" switches between plain
-#: steps and blocks of 1, 2 and 16 at random points of the stream
+#: steps and blocks of 1, 2 and LOOKAHEAD_BLOCK at random points of the stream
 _SCHEDULES = (None, 1, 2, bt.LOOKAHEAD_BLOCK, "mixed")
 
 
@@ -539,7 +539,7 @@ def test_cbce_wealth_stays_finite_at_long_horizons():
         bettor.step(o_prev)
         wealth = bettor._up_wealth
         assert np.all(np.isfinite(wealth)) and np.all(wealth >= 0.0), t
-        if t % bt.LOOKAHEAD_BLOCK == 0:
+        if t % bt.RENORMALIZE_EVERY == 0:
             assert np.array_equal(wealth.max(axis=-1), np.ones(t.bit_length())), t
         o_prev = bounds[t % 2]
 
@@ -564,6 +564,94 @@ def test_cbce_process_state_stays_bounded_at_long_horizons():
     finally:
         tracemalloc.stop()
     # an entry per step for the whole process holds about 0.7 KB, 6 MB here
+    assert held < 100_000
+
+
+def _block_steps(bettor, stream, last):
+    """Step bettor on to step last in the longest lookahead blocks its steps
+    allow, passing stream[t - 2] at step t; yields (t, steps) of each block
+    after its first step."""
+    t = bettor.t
+    while t <= last:
+        count = min(bt.lookahead_block(t), last + 1 - t)
+        bettor.step(stream[t - 2] if t > 1 else None, stream[t - 1:t + count - 2])
+        yield t, count
+        for s in range(t + 1, t + count):
+            bettor.step(stream[s - 2])
+        t += count
+
+
+def test_cbce_bettors_that_share_block_rows_bet_as_each_does_alone():
+    # the bettors of one grid size build their lookahead blocks in turn in
+    # one set of rows, the one started later over fewer levels, and a
+    # bettor of another grid size builds its blocks in rows of its own
+    configs = [  # interval, bounds, grid, first step of the run
+        (bt.lambda_interval((-3.0, 3.0)), (-3.0, 3.0), bt.UP_GRID_SIZE, 1),
+        (bt.lambda_interval((-1.0, 9.0)).nonnegative(), (-1.0, 9.0), bt.UP_GRID_SIZE, 1),
+        (bt.lambda_interval((-2.0, 5.0)), (-2.0, 5.0), bt.UP_GRID_SIZE, 300),
+        (bt.lambda_interval((-1.0, 9.0)), (-1.0, 9.0), 7, 1),
+    ]
+    steps = 1100
+    rng = np.random.default_rng(32)
+    streams = [rng.uniform(*bounds, size=steps).tolist() for _, bounds, _, _ in configs]
+    blocks = _block_lengths(bt.LOOKAHEAD_BLOCK, steps)
+
+    def trace(bettor, stream, t):
+        ahead = stream[t - 1:t + blocks[t] - 2] if t in blocks else None
+        lam = bettor.step(None if t == 1 else stream[t - 2], ahead)
+        return lam, bettor.last_weights.tobytes(), bettor._up_wealth.tobytes()
+
+    bettors = [bt.CBCEBettor(iv, bounds, k) for iv, bounds, k, _ in configs]
+    together = [[] for _ in configs]
+    for step in range(1, steps + 1):
+        for b, stream, (*_, first), out in zip(bettors, streams, configs, together):
+            if step >= first:
+                out.append(trace(b, stream, step - first + 1))
+    for (iv, bounds, k, _), stream, want in zip(configs, streams, together):
+        bt._block_buffers.clear()
+        alone = bt.CBCEBettor(iv, bounds, k)
+        assert [trace(alone, stream, t) for t in range(1, len(want) + 1)] == want
+
+
+def test_cbce_block_rows_stay_finite_at_long_horizons():
+    # the estimates of test_cbce_wealth_stays_finite_at_long_horizons in
+    # full lookahead blocks: every row of a block, read from the shared rows
+    # after its first step, is renormalized at each step RENORMALIZE_EVERY
+    # divides, those in the middle of a block included
+    bounds = (-1.0, 9.0)
+    bettor = bt.CBCEBettor(bt.lambda_interval(bounds), bounds)
+    steps = 1 << 15
+    stream = [bounds[t % 2] for t in range(1, steps)]
+    middles = 0
+    for t, count in _block_steps(bettor, stream, steps):
+        levels = t.bit_length()
+        rows = (bt._block_buffers[bettor.k][0][:count, :levels] if count > 1
+                else bettor._up_wealth[None])
+        assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0), t
+        for s in range(count):
+            if (t + s) % bt.RENORMALIZE_EVERY == 0:
+                assert np.array_equal(rows[s].max(axis=-1), np.ones(levels)), t + s
+                middles += s > 0
+    assert middles == steps // bt.LOOKAHEAD_BLOCK - 1  # every full block from 32 on
+
+
+def test_cbce_block_steps_keep_process_state_bounded_at_long_horizons():
+    # test_cbce_process_state_stays_bounded_at_long_horizons in full
+    # lookahead blocks: the shared rows and plans of a grid size are
+    # reallocated only for a new level count
+    bounds = (-3.0, 3.0)
+    bettor = bt.CBCEBettor(bt.lambda_interval(bounds), bounds)
+    steps, window = 1 << 16, 1 << 13
+    stream = np.random.default_rng(65536).uniform(*bounds, size=steps).tolist()
+    for _ in _block_steps(bettor, stream, steps - window - 1):
+        pass
+    tracemalloc.start()
+    try:
+        for _ in _block_steps(bettor, stream, steps):
+            pass
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert held < 100_000
 
 

@@ -103,6 +103,14 @@ def test_post_change_needs_positive_theta1_when_nu_finite():
     assert sc.theta1 == -0.2
 
 
+def test_cbce_grid_is_capped():
+    # the shared lookahead rows of a grid size live as long as the process
+    assert scenario(betting={"cbce": {"grid": bt.MAX_GRID_SIZE}}).betting["cbce"]["grid"] == 4096
+    for grid in (1, bt.MAX_GRID_SIZE + 1, 1 << 20):
+        with pytest.raises(hz.ScenarioError, match=r"scenario\.betting\.cbce\.grid"):
+            scenario(betting={"cbce": {"grid": grid}})
+
+
 @pytest.mark.parametrize("field, value, path", [
     ("d", True, "scenario.d"),
     ("nu", True, "scenario.nu"),
@@ -543,8 +551,8 @@ def test_matched_trials_draw_one_eigenvalue_per_step(policy, monkeypatch):
     assert sum(uniforms) == r.stop_time
     ucb = policy == "emcd_ucb"
     assert drawn == {"table": 0, "direct": 0, "eigen": r.stop_time if ucb else 0}
-    # round-robin blocks of 1, 2, 4, 8, 16, 16, 16 rounds of 3 steps, and 14 steps to the cap
-    assert len(uniforms) == (r.stop_time if ucb else 8)
+    # round-robin blocks of 1, 2, 4, 8, 16, 32 rounds of 3 steps, and 14 steps to the cap
+    assert len(uniforms) == (r.stop_time if ucb else 7)
 
 
 @pytest.mark.parametrize("overrides, site", [
@@ -580,7 +588,7 @@ def test_lookahead_blocks_never_cross_a_power_of_two():
         assert count <= bt.LOOKAHEAD_BLOCK and t % count == 0
         assert (t + count - 1).bit_length() == t.bit_length()
         t += count
-    assert [bt.lookahead_block(t) for t in (1, 2, 4, 8, 16, 32, 48)] == [1, 2, 4, 8, 16, 16, 16]
+    assert [bt.lookahead_block(t) for t in (1, 2, 4, 8, 16, 32, 48)] == [1, 2, 4, 8, 16, 32, 16]
 
 
 # ---------------------------------------------------------------------------
