@@ -21,10 +21,6 @@ import numpy as np
 from .shadows import DirectSampler, estimate_table, outcome_probabilities
 
 UP_GRID_SIZE = 64
-# largest CBCE grid a scenario may ask for: each grid size in use keeps its
-# lookahead rows, LOOKAHEAD_BLOCK * levels * grid * 8 bytes, for the life of
-# the process (11.5 MB at 11 levels here; the README has the measurements)
-MAX_GRID_SIZE = 4096
 GROWTH_GRID_SIZE = 201
 GROWTH_SHOTS = 100_000
 
@@ -33,8 +29,8 @@ DEFAULT_SLACK_FRACTION = 0.005
 
 # steps of a full lookahead block; a power of two, so a block never
 # crosses one.  The wealth rows of a block live in one (LOOKAHEAD_BLOCK,
-# levels, grid) buffer per grid size, kept for the life of the process (16
-# KiB per level at the default grid), so no block allocates them.
+# levels, grid) buffer shared by the bettors of the last grid size to open a
+# block (16 KiB per level at the default grid), so no block allocates them.
 LOOKAHEAD_BLOCK = 32
 
 # universal-portfolio wealth is renormalized at every step this divides,
@@ -189,8 +185,9 @@ def lookahead_block(t: int) -> int:
     return min(t & -t, LOOKAHEAD_BLOCK)
 
 
-# grid size -> (wealth rows, factor rows, plan per level count), shared by
-# every bettor of the process (see _block_plan)
+# grid size -> (wealth rows, factor rows, plan per level count), for the last
+# grid size to open a lookahead block only; shared by its bettors (see
+# _block_plan)
 _block_buffers = {}
 
 
@@ -204,10 +201,12 @@ def _block_plan(k: int, levels: int):
     the levels below (s & -s).bit_length() restart at its step s whatever
     its start.  Those entries are set to 1.0 when the rows are allocated and
     never written again.  The rows are reallocated, and the plans rebuilt,
-    only when a block has more levels than every block before it.
+    for another grid size or for more levels than the rows hold; a bettor
+    keeps no view of them between its blocks.
     """
     shared = _block_buffers.get(k)
     if shared is None or shared[0].shape[1] < levels:
+        _block_buffers.clear()
         shared = _block_buffers[k] = (np.ones((LOOKAHEAD_BLOCK, levels, k)),
                                       np.empty((LOOKAHEAD_BLOCK - 1, k)), {})
     rows, factors, plans = shared

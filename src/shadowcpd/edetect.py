@@ -113,14 +113,7 @@ class SequentialDetector:
                 off[i] += _LOG_PROMOTE
                 self._promoted = True
             mant[i] = m
-        if self._promoted:
-            stop = self._decide()[1]
-        else:
-            # _decide's linear branch, inline: one call less per step
-            mixture = 0.0
-            for w, m in zip(self._w, mant):
-                mixture += w * m
-            stop = float(mixture) >= self._threshold
+        mixture, stop = self._decide()
         if stop:
             self.stopped = True
         return stop

@@ -25,7 +25,6 @@ from .betting import (
     ConstantBettor,
     GROWTH_SHOTS,
     GrowthEstimate,
-    MAX_GRID_SIZE,
     UP_GRID_SIZE,
     exact_growth,
     lambda_interval,
@@ -229,8 +228,8 @@ class Scenario:
                 _require(k in ("grid", "slack", "two_sided"), f"scenario.betting.cbce.{k}",
                          "unknown field")
             grid = cfg.get("grid", UP_GRID_SIZE)
-            _require(_is_int(grid) and 2 <= grid <= MAX_GRID_SIZE, "scenario.betting.cbce.grid",
-                     f"must be an integer in [2, {MAX_GRID_SIZE}]")
+            _require(_is_int(grid) and grid >= 2, "scenario.betting.cbce.grid",
+                     "must be an integer >= 2")
             slack = cfg.get("slack")
             if slack is not None:
                 _require(_is_real(slack) and slack >= 0.0,

@@ -584,7 +584,7 @@ def _block_steps(bettor, stream, last):
 def test_cbce_bettors_that_share_block_rows_bet_as_each_does_alone():
     # the bettors of one grid size build their lookahead blocks in turn in
     # one set of rows, the one started later over fewer levels, and a
-    # bettor of another grid size builds its blocks in rows of its own
+    # bettor of another grid size takes the rows over for each of its blocks
     configs = [  # interval, bounds, grid, first step of the run
         (bt.lambda_interval((-3.0, 3.0)), (-3.0, 3.0), bt.UP_GRID_SIZE, 1),
         (bt.lambda_interval((-1.0, 9.0)).nonnegative(), (-1.0, 9.0), bt.UP_GRID_SIZE, 1),
@@ -607,6 +607,7 @@ def test_cbce_bettors_that_share_block_rows_bet_as_each_does_alone():
         for b, stream, (*_, first), out in zip(bettors, streams, configs, together):
             if step >= first:
                 out.append(trace(b, stream, step - first + 1))
+    assert len(bt._block_buffers) == 1  # the rows of one grid size at a time
     for (iv, bounds, k, _), stream, want in zip(configs, streams, together):
         bt._block_buffers.clear()
         alone = bt.CBCEBettor(iv, bounds, k)

@@ -103,14 +103,6 @@ def test_post_change_needs_positive_theta1_when_nu_finite():
     assert sc.theta1 == -0.2
 
 
-def test_cbce_grid_is_capped():
-    # the shared lookahead rows of a grid size live as long as the process
-    assert scenario(betting={"cbce": {"grid": bt.MAX_GRID_SIZE}}).betting["cbce"]["grid"] == 4096
-    for grid in (1, bt.MAX_GRID_SIZE + 1, 1 << 20):
-        with pytest.raises(hz.ScenarioError, match=r"scenario\.betting\.cbce\.grid"):
-            scenario(betting={"cbce": {"grid": grid}})
-
-
 @pytest.mark.parametrize("field, value, path", [
     ("d", True, "scenario.d"),
     ("nu", True, "scenario.nu"),
