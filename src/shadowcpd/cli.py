@@ -80,11 +80,10 @@ def _cmd_run(args):
     if args.out:
         _check_writable(args.out)
     t0 = time.perf_counter()
-    runtime = harness.ScenarioRuntime(scenario)
-    results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism,
-                                     runtime=runtime)
+    scenario.runtime  # checked before any trial; --parallelism workers get it pickled
+    results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism)
     wall = time.perf_counter() - t0
-    stats = harness.summarize(results, scenario, runtime)
+    stats = harness.summarize(results, scenario)
     if args.format == "csv":
         text = harness.results_csv(scenario, results)
     else:
@@ -140,20 +139,20 @@ def _cmd_sweep(args):
                 else base_scenario._observables)
     # every value is checked, down to its runtime (bounds, bet intervals),
     # before any is run
-    runtimes = []
+    scenarios = []
     for value in values:
         data = harness._copy_jsonish(base)
         _set_path(data, args.param, value)
         try:
-            runtimes.append(harness.ScenarioRuntime(harness.Scenario.from_dict(data, prebuilt)))
+            scenario = harness.Scenario.from_dict(data, prebuilt)
+            scenario.runtime
         except harness.ScenarioError as exc:
             raise SystemExit2(f"sweep value {value!r}: {exc}")
+        scenarios.append(scenario)
     lines = [",".join(header)]
-    for value, runtime in zip(values, runtimes):
-        scenario = runtime.scenario
-        results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism,
-                                         runtime=runtime)
-        stats = harness.summarize(results, scenario, runtime)
+    for value, scenario in zip(values, scenarios):
+        results = harness.run_experiment(scenario, args.runs, args.seed, args.parallelism)
+        stats = harness.summarize(results, scenario)
         qs = stats.delay_quantiles or {}
         cell = json.dumps(value)
         row = [

@@ -10,6 +10,7 @@ so results are independent of execution order and parallelism.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
@@ -254,6 +255,12 @@ class Scenario:
     def n_observables(self) -> int:
         return len(self._observables)
 
+    @functools.cached_property
+    def runtime(self) -> ScenarioRuntime:
+        """The scenario's one runtime, built on first use; it travels with
+        the scenario when a pickled copy reaches a worker."""
+        return ScenarioRuntime(self)
+
     def to_dict(self) -> dict:
         doc = {f.name: _copy_jsonish(getattr(self, f.name)) for f in FIELDS}
         if self.policy == "emcd_ucb":
@@ -355,7 +362,7 @@ class ScenarioRuntime:
     ``sources = (pre, post)`` holds what a step measures in each state: the
     escd estimate sampler (table or direct), or the matched list of
     per-observable eigenvalue tables.  ``post`` is None when nu is null;
-    step s reads ``source(s)``, the post-change entry once s >= nu.
+    step s reads ``sources[s >= nu]``.
     """
 
     def __init__(self, scenario: Scenario):
@@ -411,11 +418,6 @@ class ScenarioRuntime:
                           f"bet {lam!r} outside the admissible interval "
                           f"[{iv.lo!r}, {iv.hi!r}] of observable {i}")
 
-    def source(self, s: int):
-        """What step ``s`` measures: the post-change source once s >= nu."""
-        nu = self.scenario.nu
-        return self.sources[1] if nu is not None and s >= nu else self.sources[0]
-
     def make_bettor(self, i: int):
         betting = self.scenario.betting
         if "constant" in betting:
@@ -450,11 +452,12 @@ def derive_seed(master_seed: int, run_index: int) -> int:
     return splitmix64((master_seed + (run_index + 1) * _GOLDEN) & _MASK64)
 
 
-def _draw_estimates(rt: ScenarioRuntime, nu, rng, t: int, count: int) -> np.ndarray:
-    """Estimate rows of steps t .. t+count-1.  A block that contains the
-    changepoint is drawn as its pre- and post-change parts, in step order."""
+def _draw_estimates(rt: ScenarioRuntime, change, rng, t: int, count: int) -> np.ndarray:
+    """Estimate rows of steps t .. t+count-1, post-change from step
+    ``change`` on.  A block that contains the changepoint is drawn as its
+    pre- and post-change parts, in step order."""
     pre_source, post_source = rt.sources
-    pre = count if nu is None else min(max(nu - t, 0), count)
+    pre = min(max(change - t, 0), count)
     if pre == count:
         return pre_source.draw(rng, count)
     if pre == 0:
@@ -472,9 +475,12 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
     bettor's first step in a block gets its later outcomes ahead.  A block
     spans one lookahead block of every bettor: rounds of one step (escd) or
     n steps (round-robin), in each of which every bettor steps once.
+    ``runtime`` defaults to ``scenario.runtime``.
     """
-    rt = runtime if runtime is not None else ScenarioRuntime(scenario)
     sc = scenario
+    rt = runtime if runtime is not None else sc.runtime
+    # step s measures the post-change state once s >= change
+    change = sc.nu if sc.nu is not None else math.inf
     rng = np.random.default_rng(seed)
     detector = SequentialDetector(rt.detector_config)
     n = rt.n
@@ -489,11 +495,11 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
     while stop_at is None and t <= sc.run_cap:
         if stats is not None:
             idx = select_index("ucb", t, n, stats)
-            steps = (((idx,), (rt.source(t)[idx].draw(rng),)),)
+            steps = (((idx,), (rt.sources[t >= change][idx].draw(rng),)),)
             ahead = no_ahead
         elif sc.policy == "escd":
             count = min(lookahead_block(t), sc.run_cap + 1 - t)
-            block = _draw_estimates(rt, sc.nu, rng, t, count)
+            block = _draw_estimates(rt, change, rng, t, count)
             steps = [(every, ests) for ests in block.tolist()]
             ahead = list(block[:-1].T)
         else:
@@ -502,7 +508,6 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
             # block of uniforms, each looked up in its step's table as
             # _EigenTable.draw looks up its one uniform
             pre, post = rt.sources
-            change = sc.nu if sc.nu is not None else t + count
             outcomes = []
             for s, u in zip(range(t, t + count), rng.random(count).tolist()):
                 table = (pre if s < change else post)[(s - 1) % n]
@@ -538,17 +543,15 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
     )
 
 
-def _run_chunk(scenario: Scenario, pairs, runtime: ScenarioRuntime | None = None):
-    rt = runtime if runtime is not None else ScenarioRuntime(scenario)
-    return [run_trial(scenario, seed, idx, rt) for idx, seed in pairs]
+def _run_chunk(scenario: Scenario, pairs):
+    return [run_trial(scenario, seed, idx) for idx, seed in pairs]
 
 
-def run_experiment(scenario: Scenario, runs: int, master_seed: int,
-                   parallelism: int = 1, runtime: ScenarioRuntime | None = None):
+def run_experiment(scenario: Scenario, runs: int, master_seed: int, parallelism: int = 1):
     """Seeded batch of trials, ordered by run index, parallelism-invariant.
 
-    ``runtime``, the scenario's prebuilt ScenarioRuntime, serves the
-    trials at parallelism 1; worker processes build their own.
+    The trials read ``scenario.runtime``; a worker process gets it inside
+    its pickled scenario when it was built before, and builds it otherwise.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -556,7 +559,7 @@ def run_experiment(scenario: Scenario, runs: int, master_seed: int,
         raise ValueError("parallelism must be >= 1")
     pairs = [(i, derive_seed(master_seed, i)) for i in range(runs)]
     if parallelism == 1:
-        return _run_chunk(scenario, pairs, runtime)
+        return _run_chunk(scenario, pairs)
     per = math.ceil(runs / parallelism)
     chunks = [pairs[i:i + per] for i in range(0, runs, per)]
     results = []
@@ -590,18 +593,17 @@ class SummaryStats:
         return asdict(self)
 
 
-def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None,
-                    runtime: ScenarioRuntime | None = None) -> GrowthEstimate:
+def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None) -> GrowthEstimate:
     """Growth estimate of the post-change measurement the scenario's policy
     makes, over the full betting intervals its bettors are built from.
 
-    Reads the runtime's post-change source: Monte Carlo with ``shots`` rows
+    Reads ``scenario.runtime``'s post-change source: Monte Carlo with ``shots`` rows
     of a direct sampler, for shadows that cannot be enumerated; otherwise
     exact over the estimate table's columns or the eigenvalue tables.
     """
     if scenario.nu is None:
         _fail("scenario.nu", "growth requires a finite changepoint (post-change state)")
-    rt = runtime if runtime is not None else ScenarioRuntime(scenario)
+    rt = scenario.runtime
     post = rt.sources[1]
     if isinstance(post, _DirectSampler):
         return sampled_growth(post.draw, rt.full_intervals, shots, np.random.default_rng(rng))
@@ -612,20 +614,9 @@ def scenario_growth(scenario: Scenario, shots: int = GROWTH_SHOTS, rng=None,
     return exact_growth(outcomes, rt.full_intervals)
 
 
-def _growth_reference(scenario: Scenario, runtime: ScenarioRuntime | None) -> float | None:
-    if scenario.nu is None:
-        return None
-    rt = runtime if runtime is not None else ScenarioRuntime(scenario)
-    if isinstance(rt.sources[1], _DirectSampler):
-        # a Monte Carlo reference would make the summary depend on a seed
-        return None
-    return scenario_growth(scenario, runtime=rt).d_star
-
-
-def summarize(results, scenario: Scenario | None = None,
-              runtime: ScenarioRuntime | None = None) -> SummaryStats:
+def summarize(results, scenario: Scenario | None = None) -> SummaryStats:
     """Aggregate metrics; censored runs count at the cap in mean_run_length.
-    The growth reference reads ``runtime`` when given."""
+    With a finite-nu scenario, the growth reference reads ``scenario.runtime``."""
     if len(results) == 0:
         raise ValueError("cannot summarize zero trials")
     stop_times = np.array([r.stop_time for r in results], dtype=float)
@@ -641,7 +632,11 @@ def summarize(results, scenario: Scenario | None = None,
     else:
         quantiles = None
         mean_delay = None
-    d_star = _growth_reference(scenario, runtime) if scenario is not None else None
+    d_star = None
+    # a Monte Carlo reference would make the summary depend on a seed
+    if scenario is not None and scenario.nu is not None \
+            and not isinstance(scenario.runtime.sources[1], _DirectSampler):
+        d_star = scenario_growth(scenario).d_star
     return SummaryStats(
         runs=len(results),
         mean_run_length=float(stop_times.mean()),

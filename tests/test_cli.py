@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +290,34 @@ def test_run_and_sweep_build_one_runtime_per_scenario(policy, tmp_path, capsys, 
     assert cli.main(["sweep", "--scenario", str(path), "--param", "theta1",
                      "--values", "0.5,1.0", "--runs", "2"]) == 0
     assert [sc.theta1 for sc in built] == [0.5, 1.0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("policy", ["escd", "emcd_rr"])
+def test_trials_summary_and_growth_share_the_scenario_runtime(policy, tmp_path, capsys,
+                                                              monkeypatch):
+    # the trials, the summary's growth reference and growth itself all read
+    # Scenario.runtime, built once; a pickled scenario carries it to workers
+    doc = dict(BASE, policy=policy)
+    built = []
+    init = hz.ScenarioRuntime.__init__
+
+    def counting_init(self, scenario):
+        built.append(scenario)
+        init(self, scenario)
+
+    monkeypatch.setattr(hz.ScenarioRuntime, "__init__", counting_init)
+    sc = hz.Scenario.from_dict(doc)
+    results = hz.run_experiment(sc, 2, master_seed=1)
+    assert hz.summarize(results, sc).d_star_reference == hz.scenario_growth(sc).d_star
+    assert built == [sc]
+    assert pickle.loads(pickle.dumps(sc)).runtime.sources[1] is not None
+    assert len(built) == 1
+    built.clear()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["growth", "--scenario", str(path)]) == 0
+    assert len(built) == 1
     capsys.readouterr()
 
 

@@ -184,7 +184,7 @@ def test_matrices_are_parsed_once_per_scenario(monkeypatch):
     sc = scenario(observables={"matrices": mats}, policy="emcd_rr")
     for _ in range(3):
         rt = hz.ScenarioRuntime(sc)
-    hz.summarize(hz.run_experiment(sc, 2, master_seed=1, runtime=rt), sc)
+    hz.summarize(hz.run_experiment(sc, 2, master_seed=1), sc)
     assert calls == [f"scenario.observables.matrices[{j}]" for j in range(3)]
     assert [o.eigmax for o in rt.observables] == [1.0, 1.0, 1.0]
 
@@ -211,8 +211,7 @@ def test_matched_policies_accept_exhaustive_beyond_enumeration(policy):
     # matched bets range over eigenvalues, so the shadow bounds mode is unused
     doc = dict(d=4, observables={"rotated": 2}, policy=policy, alpha=0.1, run_cap=200)
     sc = scenario(**doc, bounds_mode="exhaustive")
-    rt = hz.ScenarioRuntime(sc)
-    results = hz.run_experiment(sc, 2, master_seed=4, runtime=rt)
+    results = hz.run_experiment(sc, 2, master_seed=4)
     assert len(results) == 2
     assert results == hz.run_experiment(scenario(**doc), 2, master_seed=4)
 
