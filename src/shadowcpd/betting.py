@@ -235,12 +235,13 @@ def covering_intervals(t: int):
 
 def _interval_prior(t1: int) -> float:
     """Unnormalized prior 1 / (t1^2 (1 + floor(log2 t1))) of an expert started at t1."""
-    return 1.0 / (t1 * t1 * (1 + int(math.log2(t1))))
+    return 1.0 / (t1 * t1 * t1.bit_length())
 
 
 def _birth_order_of(t: int):
     """The groups of copies among the experts CBCE holds at step t, in birth
-    order: per group its top level, normalized prior and age divisor.
+    order: the older groups, per group its top level, normalized prior and
+    age divisor, and then the restarting group's top level and prior.
 
     At step t one expert lives on each level k = 0 .. t.bit_length() - 1,
     the covering interval of length 2^k that contains t; it starts at t
@@ -250,16 +251,27 @@ def _birth_order_of(t: int):
     The groups' top levels are the set bits of t, highest first, which is
     birth order.  A group's prior is its size times its start's, over the
     exactly rounded sum; its experts have absorbed age divisor - 1 rounds.
+    The last group, topped by t's lowest set bit, restarts at t: it is the
+    only group of age 1.
     """
-    tops = [k for k in range(t.bit_length() - 1, -1, -1) if t >> k & 1]
-    priors = [(top - low) * _interval_prior(t >> top << top)
-              for top, low in zip(tops, tops[1:] + [-1])]
+    older, priors = [], []
+    top = t.bit_length() - 1
+    rest = t ^ (1 << top)  # the bits of t below top
+    while rest:
+        low = rest.bit_length() - 1  # the next group's top
+        prior = (top - low) * _interval_prior(t ^ rest)
+        priors.append(prior)
+        older.append((top, prior, rest + 1))
+        top = low
+        rest ^= 1 << low
+    last = (top + 1) * _interval_prior(t)
+    priors.append(last)
     prior_sum = math.fsum(priors)
     # tuples of ints and floats, which the garbage collector stops tracking;
     # built from a list, so each is allocated at its length and freed to
     # that length's free list
-    return tuple([(top, p / prior_sum, (t & ((1 << top) - 1)) + 1)
-                  for top, p in zip(tops, priors)])
+    return (tuple([(lv, p / prior_sum, age) for lv, p, age in older]),
+            (top, last / prior_sum))
 
 
 # every bettor of the process shares one birth order per step: the steps
@@ -293,6 +305,9 @@ class CBCEBettor:
     process.  A level is a group's top from its restart on, so the coin
     state of the other levels is never read.  The loop sums the raw
     weights r and r * bet as it goes, and the meta bet is their ratio.
+    The group that restarts at t has no stake, so the loop skips it: its
+    top level takes a fresh expert's coin state and bet, which only the
+    prior-weighted bet of a step with no backed expert reads.
 
     Call ``step(o_prev)`` once per time step, passing the estimate
     observed after the previous bet (absent only on the first call).
@@ -304,6 +319,8 @@ class CBCEBettor:
     if it is no longer than the largest power of two that divides t, so it
     never crosses a power of two.  Its wealth rows are built in rows that
     the bettors of one grid size share, renormalized at the same steps.
+    The block's later steps read their bets and check only that each gets
+    the estimate passed ahead and no ``ahead`` of its own.
     """
 
     def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE):
@@ -362,57 +379,59 @@ class CBCEBettor:
         """Meta weights of the experts behind the last bet, in birth order:
         each group's raw weight r over their sum, or its prior when no
         expert is backed, spread evenly over the group's levels."""
-        groups = _birth_order(self.t - 1)
+        older, restart = _birth_order(self.t - 1)
+        groups = [(lv, prior) for lv, prior, _ in older] + [restart]
         raw = []
         total = 0.0
-        for lv, prior, _ in groups:
+        for lv, prior in groups:
             stake = self._beta[lv] * self._wealth[lv]
             r = prior * stake if stake > 0.0 else 0.0
             raw.append(r)
             total += r
         weights = (np.array(raw) / total if total > 0.0
-                   else np.array([prior for _, prior, _ in groups]))
-        tops = [lv for lv, _, _ in groups]
+                   else np.array([prior for _, prior in groups]))
+        tops = [lv for lv, _ in groups]
         sizes = np.subtract(tops, tops[1:] + [-1])
         return np.repeat(weights / sizes, sizes)
 
     def step(self, o_prev=None, ahead=None) -> float:
         t = self.t
-        if t == 1:
-            if o_prev is not None:
-                raise ValueError("no estimate precedes the first bet")
-        elif o_prev is None:
-            raise ValueError(f"step {t} needs the estimate observed at step {t - 1}")
-        levels = t.bit_length()
-        born = (t & -t).bit_length()  # levels 0 .. born-1 start at t
-        in_block = t < self._block_end
-        if born == levels:
-            # t is a power of two: every expert restarts and one level opens
-            self._up_wealth = np.ones((levels, self.k))
-            for state in (self._sum_g, self._wealth, self._beta, self._lam, self._backed):
-                state.append(None)
-        if o_prev is not None:
+        if t < self._block_end:
+            # a later step of the open lookahead block: its bets are built
+            if o_prev is None:
+                raise ValueError(f"step {t} needs the estimate observed at step {t - 1}")
             o_hat = float(o_prev)
-            if not in_block:
-                if not self._accept[0] <= o_hat <= self._accept[1]:
-                    _check_estimate(o_hat, self.o_bounds)
-            elif o_hat != self._ahead[t - self._block_start - 1]:
+            if o_hat != self._ahead[t - self._block_start - 1]:
                 raise ValueError(f"step {t} got {o_hat!r}, not the estimate passed ahead")
-            meta_loss = -math.log1p(self.last_lam * o_hat)
-        if in_block:
             if ahead is not None:
                 raise ValueError(f"step {t} lies inside the lookahead block opened at "
                                  f"step {self._block_start}")
             bets = self._block_bets[t - self._block_start]
         else:
+            if t == 1:
+                if o_prev is not None:
+                    raise ValueError("no estimate precedes the first bet")
+            elif o_prev is None:
+                raise ValueError(f"step {t} needs the estimate observed at step {t - 1}")
+            levels = t.bit_length()
+            born = (t & -t).bit_length()  # levels 0 .. born-1 start at t
+            if born == levels:
+                # t is a power of two: every expert restarts and one level opens
+                self._up_wealth = np.ones((levels, self.k))
+                for state in (self._sum_g, self._wealth, self._beta, self._lam, self._backed):
+                    state.append(None)
             factor = None
-            if born < levels:
-                key = o_hat or repr(o_hat)
-                factor = self._factors.get(key)
-                if factor is None:
-                    factor = 1.0 + self.grid * o_hat
-                    if len(self._factors) < FACTOR_CACHE_SIZE:
-                        self._factors[key] = factor
+            if o_prev is not None:
+                o_hat = float(o_prev)
+                if not self._accept[0] <= o_hat <= self._accept[1]:
+                    _check_estimate(o_hat, self.o_bounds)
+                if born < levels:
+                    key = o_hat or repr(o_hat)
+                    factor = self._factors.get(key)
+                    if factor is None:
+                        factor = 1.0 + self.grid * o_hat
+                        if len(self._factors) < FACTOR_CACHE_SIZE:
+                            self._factors[key] = factor
             if ahead is not None and len(ahead):
                 bets = self._open_block(ahead, levels, born, factor)
             else:
@@ -423,32 +442,29 @@ class CBCEBettor:
                 if not t % RENORMALIZE_EVERY:
                     _renormalize(up)
                 bets = _portfolio_bets(up, self.grid).tolist()
-        groups = _birth_order(t)
+        older, (top, top_prior) = _birth_order(t)
         log1p = math.log1p
+        if older:
+            meta_loss = -log1p(self.last_lam * o_hat)
         sum_g, wealth = self._sum_g, self._wealth
         beta, lam, backed = self._beta, self._lam, self._backed
         scale = self._scale
         total = mix = 0.0
-        for lv, prior, age in groups:
-            if lv < born:
-                sum_g[lv] = 0.0
-                wealth[lv] = 1.0
-            else:
-                # absorb o_hat with the bet this expert made last step
-                g = (meta_loss + log1p(lam[lv] * o_hat)) / scale
-                if g > 1.0:
-                    g = 1.0
-                elif g < -1.0:
-                    g = -1.0
-                if g < 0.0 and not backed[lv]:
-                    g = 0.0
-                wealth[lv] *= 1.0 + beta[lv] * g
-                sum_g[lv] += g
+        for lv, prior, age in older:
+            # absorb o_hat with the bet this expert made last step
+            g = (meta_loss + log1p(lam[lv] * o_hat)) / scale
+            if g > 1.0:
+                g = 1.0
+            elif g < -1.0:
+                g = -1.0
+            if g < 0.0 and not backed[lv]:
+                g = 0.0
+            w = wealth[lv] = wealth[lv] * (1.0 + beta[lv] * g)
+            s = sum_g[lv] = sum_g[lv] + g
             # the level-lv expert has absorbed age - 1 rounds
-            b = sum_g[lv] / age
-            beta[lv] = b
+            b = beta[lv] = s / age
             bet = lam[lv] = bets[lv]
-            stake = b * wealth[lv]
+            stake = b * w
             if stake > 0.0:
                 r = prior * stake
                 total += r
@@ -456,14 +472,21 @@ class CBCEBettor:
                 backed[lv] = r > 0.0
             else:
                 backed[lv] = False
+        # the group that restarts at t: a fresh expert, with no stake
+        sum_g[top] = beta[top] = 0.0
+        wealth[top] = 1.0
+        lam[top] = bets[top]
+        backed[top] = False
         if total > 0.0:
             mix /= total
         else:
             # no expert is backed: the prior-weighted bet
-            for lv, prior, _ in groups:
+            for lv, prior, _ in older:
                 mix += prior * bets[lv]
+            mix += top_prior * bets[top]
         lo, hi = self._clip
-        self.last_lam = min(max(mix, lo), hi)
+        mix = lo if lo > mix else mix
+        self.last_lam = hi if hi < mix else mix
         self.t = t + 1
         return self.last_lam
 

@@ -107,7 +107,8 @@ class SequentialDetector:
                 raise ValueError(f"capital multiplier must be positive, got {incr!r}")
             # 1 in the mantissa's scale; exp(-0.0) is exactly 1.0
             one = math.exp(-off[i]) if off[i] else 1.0
-            m = incr * (mant[i] + one) if sr else incr * max(mant[i], one)
+            m = mant[i]
+            m = incr * (m + one) if sr else incr * (one if one > m else m)
             while m > PROMOTE_AT:
                 m /= PROMOTE_AT
                 off[i] += _LOG_PROMOTE

@@ -65,6 +65,14 @@ def test_interval_helpers():
     assert pos.hi == pytest.approx(iv.hi)
 
 
+def test_interval_prior_level_factor_is_exact():
+    # 1 + floor(log2 t1) from the bits of t1: math.log2 rounds 2^49 - 1 up
+    # to 49.0, one level too many
+    for k in range(1, 63):
+        for t1, floor_log2 in ((2**k - 1, k - 1), (2**k, k), (2**k + 1, k)):
+            assert bt._interval_prior(t1) == 1.0 / (t1 * t1 * (1 + floor_log2)), t1
+
+
 def test_chebyshev_grid_interior_and_increasing():
     iv = bt.lambda_interval((-3.0, 3.0), slack=0.0)
     grid = bt.chebyshev_grid(iv, 64)
@@ -462,6 +470,8 @@ def test_cbce_lookahead_rejects_misuse():
         bettor_at(4).step(0.5, ahead=[0.5, 4.0])
     b = bettor_at(4)
     b.step(0.5, ahead=[1.0, -1.0])
+    with pytest.raises(ValueError, match="step 5 needs the estimate observed at step 4"):
+        b.step(None)
     with pytest.raises(ValueError, match="inside the lookahead block"):
         b.step(1.0, ahead=[])
     with pytest.raises(ValueError, match="not the estimate passed ahead"):
@@ -469,6 +479,39 @@ def test_cbce_lookahead_rejects_misuse():
     b.step(1.0)
     b.step(-1.0)
     b.step(2.0)  # the block is over: any admissible estimate
+
+
+def test_cbce_restarting_group_is_the_last_and_fresh():
+    # the meta loop leaves out the group that restarts at t: the last in
+    # birth order, topped by t's lowest set bit, the only group of age 1.
+    # The oracle groups the covering intervals of t by start.
+    late = [bt.BIRTH_ORDER_CACHED + 1, (1 << 20) + 96, 3 << 40, (1 << 62) - 1, 1 << 62]
+    for t in [*range(1, 1 << 13), *late]:
+        tops = {}
+        for k, (t1, _) in enumerate(bt.covering_intervals(t)):
+            tops[t1] = k  # the start's top level
+        want = [(top, t - t1 + 1) for t1, top in sorted(tops.items())]
+        older, (top, prior) = bt._birth_order(t)
+        assert [(lv, age) for lv, _, age in older] + [(top, 1)] == want, t
+        assert top == (t & -t).bit_length() - 1, t
+        assert all(age > 1 for *_, age in older), t
+        assert math.fsum([p for _, p, _ in older] + [prior]) == pytest.approx(1.0), t
+    # a bettor leaves the restarting level with a fresh expert's coin state,
+    # in plain steps and in lookahead blocks
+    bounds = (-1.0, 9.0)
+    interval = bt.lambda_interval(bounds)
+    fresh = bt.UPExpert(interval, k=7).bet()
+    steps = 1100
+    stream = np.random.default_rng(13).uniform(*bounds, size=steps).tolist()
+    blocks = _block_lengths("mixed", steps)
+    bettor = bt.CBCEBettor(interval, bounds, 7)
+    for t in range(1, steps + 1):
+        ahead = stream[t - 1:t + blocks[t] - 2] if t in blocks else None
+        bettor.step(None if t == 1 else stream[t - 2], ahead)
+        top = (t & -t).bit_length() - 1
+        assert bettor._sum_g[top] == 0.0 and bettor._beta[top] == 0.0, t
+        assert bettor._wealth[top] == 1.0 and bettor._backed[top] is False, t
+        assert bettor._lam[top] == pytest.approx(fresh, rel=1e-12), t
 
 
 def test_cbce_experts_are_the_covering_intervals():
