@@ -158,7 +158,6 @@ class UPExpert:
     """
 
     def __init__(self, interval: LambdaInterval, o_bounds=None, k: int = UP_GRID_SIZE):
-        self.interval = interval
         self.o_bounds = o_bounds
         self.grid = chebyshev_grid(interval, k)
         self.wealth = np.ones(k)
@@ -303,11 +302,11 @@ class CBCEBettor:
     start, the top level of each group, in birth order; the groups and
     their priors depend on t alone and are shared by every bettor of the
     process.  A level is a group's top from its restart on, so the coin
-    state of the other levels is never read.  The loop sums the raw
+    state of the other levels is never read, and a group's last bet is its
+    top level's in the previous step's bet row.  The loop sums the raw
     weights r and r * bet as it goes, and the meta bet is their ratio.
     The group that restarts at t has no stake, so the loop skips it: its
-    top level takes a fresh expert's coin state and bet, which only the
-    prior-weighted bet of a step with no backed expert reads.
+    top level takes a fresh expert's coin state.
 
     Call ``step(o_prev)`` once per time step, passing the estimate
     observed after the previous bet (absent only on the first call).
@@ -324,7 +323,6 @@ class CBCEBettor:
     """
 
     def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE):
-        self.interval = interval
         self.o_bounds = o_bounds
         self.k = int(k)
         self.grid = chebyshev_grid(interval, k)
@@ -334,8 +332,9 @@ class CBCEBettor:
         self._sum_g = []
         self._wealth = []
         self._beta = []
-        self._lam = []
         self._backed = []
+        # the expert bets of the last step, in level order
+        self._bets = []
         # the open lookahead block, steps start .. end-1: the expert bets of
         # each step (in level order) and the estimates promised for its later
         # steps
@@ -343,21 +342,22 @@ class CBCEBettor:
         self._block_bets = None
         self._ahead = []
         self.last_lam = 0.0
-        self.loss_bound = self._loss_bound()
+        self.loss_bound = self._loss_bound(interval)
         # constants of every step: the accepted estimate range, the bet clip,
         # the loss scale, and 1 + grid * o per estimate value o, keyed by
-        # value with the two zeros apart (their reprs)
+        # value: the two zeros share a key, and 1 + grid * -0.0 has the bits
+        # of 1 + grid * 0.0
         lower, upper = o_bounds
         self._accept = (lower - 1e-9, upper + 1e-9)
         self._clip = (interval.lo, interval.hi)
         self._scale = 2.0 * self.loss_bound
         self._factors = {}
 
-    def _loss_bound(self) -> float:
+    def _loss_bound(self, interval: LambdaInterval) -> float:
         lower, upper = self.o_bounds
         corners = [
             1.0 + lam * o
-            for lam in (self.interval.lo, self.interval.hi)
+            for lam in (interval.lo, interval.hi)
             for o in (lower, upper)
         ]
         m_min = min(corners)
@@ -418,7 +418,7 @@ class CBCEBettor:
             if born == levels:
                 # t is a power of two: every expert restarts and one level opens
                 self._up_wealth = np.ones((levels, self.k))
-                for state in (self._sum_g, self._wealth, self._beta, self._lam, self._backed):
+                for state in (self._sum_g, self._wealth, self._beta, self._backed):
                     state.append(None)
             factor = None
             if o_prev is not None:
@@ -426,12 +426,11 @@ class CBCEBettor:
                 if not self._accept[0] <= o_hat <= self._accept[1]:
                     _check_estimate(o_hat, self.o_bounds)
                 if born < levels:
-                    key = o_hat or repr(o_hat)
-                    factor = self._factors.get(key)
+                    factor = self._factors.get(o_hat)
                     if factor is None:
                         factor = 1.0 + self.grid * o_hat
                         if len(self._factors) < FACTOR_CACHE_SIZE:
-                            self._factors[key] = factor
+                            self._factors[o_hat] = factor
             if ahead is not None and len(ahead):
                 bets = self._open_block(ahead, levels, born, factor)
             else:
@@ -446,13 +445,13 @@ class CBCEBettor:
         log1p = math.log1p
         if older:
             meta_loss = -log1p(self.last_lam * o_hat)
-        sum_g, wealth = self._sum_g, self._wealth
-        beta, lam, backed = self._beta, self._lam, self._backed
+        sum_g, wealth, beta, backed = self._sum_g, self._wealth, self._beta, self._backed
+        last, self._bets = self._bets, bets
         scale = self._scale
         total = mix = 0.0
         for lv, prior, age in older:
             # absorb o_hat with the bet this expert made last step
-            g = (meta_loss + log1p(lam[lv] * o_hat)) / scale
+            g = (meta_loss + log1p(last[lv] * o_hat)) / scale
             if g > 1.0:
                 g = 1.0
             elif g < -1.0:
@@ -463,19 +462,17 @@ class CBCEBettor:
             s = sum_g[lv] = sum_g[lv] + g
             # the level-lv expert has absorbed age - 1 rounds
             b = beta[lv] = s / age
-            bet = lam[lv] = bets[lv]
             stake = b * w
             if stake > 0.0:
                 r = prior * stake
                 total += r
-                mix += r * bet
+                mix += r * bets[lv]
                 backed[lv] = r > 0.0
             else:
                 backed[lv] = False
         # the group that restarts at t: a fresh expert, with no stake
         sum_g[top] = beta[top] = 0.0
         wealth[top] = 1.0
-        lam[top] = bets[top]
         backed[top] = False
         if total > 0.0:
             mix /= total

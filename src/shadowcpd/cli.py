@@ -47,12 +47,18 @@ def _load_scenario(path):
     return _scenario_from(_read_document(path))
 
 
-def _write_out(path, text):
+def _emit(path, text, what):
+    """Write ``text`` to ``path`` and report on stdout that ``what`` was
+    written there; without a path, write ``text`` to stdout."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise SystemExit2(f"cannot write {path}: {exc}")
+    print(f"wrote {what} to {path}")
 
 
 def _check_writable(path):
@@ -89,11 +95,7 @@ def _cmd_run(args):
     else:
         text = harness.results_json(scenario, results, stats, master_seed=args.seed,
                                     wall_time_seconds=wall)
-    if args.out:
-        _write_out(args.out, text)
-        print(f"wrote {len(results)} trials to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text, f"{len(results)} trials")
     summary = stats.to_dict()
     summary["wall_time_seconds"] = wall
     print(json.dumps(harness._normalize_floats(summary)), file=sys.stderr)
@@ -169,18 +171,14 @@ def _cmd_sweep(args):
         ]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_out(args.out, text)
-        print(f"wrote {len(values)} sweep rows to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text, f"{len(values)} sweep rows")
     return 0
 
 
 def _cmd_preset(args):
     if args.list:
-        for name in harness.preset_names():
-            print(name)
+        names = harness.preset_names()
+        _emit(args.out, "".join(name + "\n" for name in names), f"{len(names)} preset names")
         return 0
     if not args.name:
         raise SystemExit2("preset requires --name or --list")
@@ -188,12 +186,7 @@ def _cmd_preset(args):
         scenario = harness.preset_scenario(args.name)
     except KeyError as exc:
         raise SystemExit2(str(exc.args[0]))
-    text = json.dumps(scenario.to_dict(), indent=2) + "\n"
-    if args.out:
-        _write_out(args.out, text)
-        print(f"wrote preset {args.name} to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, json.dumps(scenario.to_dict(), indent=2) + "\n", f"preset {args.name}")
     return 0
 
 

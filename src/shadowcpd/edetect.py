@@ -74,7 +74,6 @@ class SequentialDetector:
     """
 
     def __init__(self, config: DetectorConfig):
-        self.config = config
         n = config.n_observables
         self._w = config.weights
         self._logw = np.log(self._w)

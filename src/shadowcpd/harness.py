@@ -342,17 +342,18 @@ class _TableSampler:
 
 
 class _EigenTable(_TableSampler):
-    # eigenvalue outcomes with Born weights for one (observable, state) pair
+    # eigenvalue outcomes with Born weights for one (observable, state) pair,
+    # cum and values held as lists: bisect_right on cum finds
+    # searchsorted(side="right")'s index
     def __init__(self, pm: ProjectiveMeasurement, rho: DensityMatrix):
         probs = np.clip(pm.born_weights(rho), 0.0, None)
         super().__init__(probs / probs.sum(), pm.outcome_values)
-        # bisect_right on the list form finds searchsorted(side="right")'s index
-        self._cum = self.cum.tolist()
-        self._values = self.values.tolist()
+        self.cum = self.cum.tolist()
+        self.values = self.values.tolist()
 
     def draw(self, rng):
         """One outcome from one scalar uniform."""
-        return self._values[bisect_right(self._cum, rng.random())]
+        return self.values[bisect_right(self.cum, rng.random())]
 
 
 class ScenarioRuntime:
@@ -511,7 +512,7 @@ def run_trial(scenario: Scenario, seed: int, run_index: int = 0,
             outcomes = []
             for s, u in zip(range(t, t + count), rng.random(count).tolist()):
                 table = (pre if s < change else post)[(s - 1) % n]
-                outcomes.append(table._values[bisect_right(table._cum, u)])
+                outcomes.append(table.values[bisect_right(table.cum, u)])
             steps = [((j % n,), (o,)) for j, o in enumerate(outcomes)]
             ahead = [outcomes[i::n][:-1] for i in range(n)]
         for measured, values in steps:

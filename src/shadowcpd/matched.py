@@ -62,8 +62,7 @@ class UCBStats:
             raise ValueError("need at least one index")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-        self.delta = float(delta)
-        self._bonus = 2.0 * math.log(1.0 / self.delta)
+        self._bonus = 2.0 * math.log(1.0 / float(delta))
         self._counts = [0] * n
         self._sums = [0.0] * n
         self._scores = [math.inf] * n

@@ -447,10 +447,28 @@ def test_cbce_powers_of_two_are_exact(name, two_sided):
         lam = bettor.step(o_prev)
         top = t.bit_length() - 1
         if t & (t - 1) == 0:
-            assert lam == bettor._lam[top], t
+            assert lam == bettor._bets[top], t
         elif (t - 1) & (t - 2) == 0:
             assert bettor._sum_g[top] == 0.0 and not bettor._backed[top], t
         o_prev = o
+
+
+@pytest.mark.parametrize("k", [2, 7, 64])
+def test_cbce_factor_rows_merge_the_two_zeros(k):
+    # 1 + grid * -0.0 has the bits of 1 + grid * 0.0 on every grid, so the
+    # factor rows are keyed by the estimate and the two zeros share one
+    bounds = (-3.0, 3.0)
+    full = bt.lambda_interval(bounds)
+    for interval in (full, full.nonnegative()):
+        grid = bt.chebyshev_grid(interval, k)
+        assert (1.0 + grid * 0.0).tobytes() == (1.0 + grid * -0.0).tobytes(), interval
+    bettor = bt.CBCEBettor(full, bounds, k)
+    stream = [0.5, 0.0, -0.0, -0.5] * 8
+    bettor.step()
+    for o in stream:
+        bettor.step(o)
+    assert len(bettor._factors) == 3
+    assert bettor._factors[-0.0].tobytes() == np.ones(k).tobytes()
 
 
 def test_cbce_lookahead_rejects_misuse():
@@ -511,7 +529,7 @@ def test_cbce_restarting_group_is_the_last_and_fresh():
         top = (t & -t).bit_length() - 1
         assert bettor._sum_g[top] == 0.0 and bettor._beta[top] == 0.0, t
         assert bettor._wealth[top] == 1.0 and bettor._backed[top] is False, t
-        assert bettor._lam[top] == pytest.approx(fresh, rel=1e-12), t
+        assert bettor._bets[top] == pytest.approx(fresh, rel=1e-12), t
 
 
 def test_cbce_experts_are_the_covering_intervals():

@@ -126,6 +126,7 @@ def test_run_rejects_booleans_and_non_numbers(field, value, tmp_path, capsys):
     ["run", "--runs", "1"],
     ["sweep", "--param", "theta1", "--values", "0.5", "--runs", "1"],
     ["preset", "--name", "desk-fig4"],
+    ["preset", "--list"],
 ])
 def test_unwritable_out_exits_2(command, scenario_file, tmp_path, capsys, monkeypatch):
     # the --out path is checked before any trial is simulated
@@ -392,6 +393,16 @@ def test_preset_out_file(tmp_path, capsys):
     sc = hz.Scenario.from_dict(json.loads(out_path.read_text(encoding="utf-8")))
     assert sc.alpha == 0.01
     assert sc.run_cap == 2000
+
+
+def test_preset_list_out_file(tmp_path, capsys):
+    out_path = tmp_path / "presets.txt"
+    rc = cli.main(["preset", "--list", "--out", str(out_path)])
+    assert rc == 0
+    names = hz.preset_names()
+    assert out_path.read_text(encoding="utf-8") == "".join(f"{name}\n" for name in names)
+    out, _ = capsys.readouterr()
+    assert out == f"wrote {len(names)} preset names to {out_path}\n"
 
 
 # ---------------------------------------------------------------------------
