@@ -316,10 +316,12 @@ class CBCEBettor:
     one pass, with the same bits.  Such a block of 1 + len(ahead) steps
     holds at most ``LOOKAHEAD_BLOCK`` steps and may start at step t only
     if it is no longer than the largest power of two that divides t, so it
-    never crosses a power of two.  Its wealth rows are built in rows that
-    the bettors of one grid size share, renormalized at the same steps.
+    never crosses a power of two.  Its first wealth row is the plain
+    step's; the later rows are built in rows that the bettors of one grid
+    size share, renormalized at the same steps.
     The block's later steps read their bets and check only that each gets
-    the estimate passed ahead and no ``ahead`` of its own.
+    the estimate passed ahead and no ``ahead`` of its own.  A call that
+    raises leaves the bettor unfit for further steps.
     """
 
     def __init__(self, interval: LambdaInterval, o_bounds, k: int = UP_GRID_SIZE):
@@ -420,7 +422,7 @@ class CBCEBettor:
                 self._up_wealth = np.ones((levels, self.k))
                 for state in (self._sum_g, self._wealth, self._beta, self._backed):
                     state.append(None)
-            factor = None
+            up = self._up_wealth
             if o_prev is not None:
                 o_hat = float(o_prev)
                 if not self._accept[0] <= o_hat <= self._accept[1]:
@@ -431,15 +433,13 @@ class CBCEBettor:
                         factor = 1.0 + self.grid * o_hat
                         if len(self._factors) < FACTOR_CACHE_SIZE:
                             self._factors[o_hat] = factor
-            if ahead is not None and len(ahead):
-                bets = self._open_block(ahead, levels, born, factor)
-            else:
-                up = self._up_wealth
-                if factor is not None:
                     up[born:] *= factor
                     up[:born] = 1.0
-                if not t % RENORMALIZE_EVERY:
-                    _renormalize(up)
+            if not t % RENORMALIZE_EVERY:
+                _renormalize(up)
+            if ahead is not None and len(ahead):
+                bets = self._open_block(ahead, levels)
+            else:
                 bets = _portfolio_bets(up, self.grid).tolist()
         older, (top, top_prior) = _birth_order(t)
         log1p = math.log1p
@@ -487,18 +487,17 @@ class CBCEBettor:
         self.t = t + 1
         return self.last_lam
 
-    def _open_block(self, ahead, levels: int, born: int, factor):
+    def _open_block(self, ahead, levels: int):
         """Expert bets, in level order, of this step and of the len(ahead)
         steps after it, from the estimates they will absorb; returns this
         step's.
 
         The block's wealth rows are built in the shared rows of its grid
-        size by the per-step product, as a plain step builds its row: row 0
-        is this bettor's row times ``factor`` on the levels from ``born`` on
-        (all restart when ``factor`` is None), and each later row follows its
-        plan.  A row is renormalized at the steps ``RENORMALIZE_EVERY``
-        divides, the block's middle included.  The bettor keeps a copy of
-        the last row.
+        size: row 0 is a copy of this step's row, which ``step`` has updated
+        as for a plain step, and each later row is the per-step product of
+        its plan.  A later row is renormalized at the steps
+        ``RENORMALIZE_EVERY`` divides, the block's middle.  The bettor keeps
+        a copy of the last row.
         """
         t = self.t
         count = 1 + len(ahead)
@@ -509,12 +508,7 @@ class CBCEBettor:
             for o in ahead.tolist():
                 _check_estimate(o, self.o_bounds)
         rows, factors, plan = _block_plan(self.k, levels)
-        first = rows[0]
-        if factor is not None:
-            np.multiply(self._up_wealth[born:], factor, out=first[born:])
-        first[:born] = 1.0
-        if not t % RENORMALIZE_EVERY:
-            _renormalize(first)
+        rows[0] = self._up_wealth
         later = factors[:count - 1]
         np.multiply(ahead[:, None], self.grid, out=later)
         np.add(later, 1.0, out=later)

@@ -136,9 +136,6 @@ def _cmd_sweep(args):
         "delay_q10", "delay_q25", "delay_q50", "delay_q75", "delay_q90",
         "false_alarm_fraction", "censored_fraction", "d_star_reference",
     ]
-    # values that change neither the observables nor d share the base's
-    prebuilt = (None if args.param.split(".")[0] in ("observables", "d")
-                else base_scenario._observables)
     # every value is checked, down to its runtime (bounds, bet intervals),
     # before any is run
     scenarios = []
@@ -146,7 +143,7 @@ def _cmd_sweep(args):
         data = harness._copy_jsonish(base)
         _set_path(data, args.param, value)
         try:
-            scenario = harness.Scenario.from_dict(data, prebuilt)
+            scenario = harness.Scenario.from_dict(data, base_scenario)
             scenario.runtime
         except harness.ScenarioError as exc:
             raise SystemExit2(f"sweep value {value!r}: {exc}")
@@ -298,6 +295,8 @@ def _apply_single_qubit_channel(mat, k, d):
 
 def _cmd_growth(args):
     _require_counts(args, "shots")
+    if args.seed < 0:
+        raise SystemExit2(f"--seed must be >= 0, got {args.seed}")
     est = harness.scenario_growth(_load_scenario(args.scenario), shots=args.shots, rng=args.seed)
     print(json.dumps(harness._normalize_floats(dataclasses.asdict(est)), indent=2))
     return 0

@@ -19,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
 
 import numpy as np
+import numpy.random  # numpy 2 imports it lazily, and the first trial would pay
 
 from . import __version__
 from .betting import (
@@ -268,7 +269,7 @@ class Scenario:
         return doc
 
     @staticmethod
-    def from_dict(data: dict, prebuilt: tuple | None = None) -> "Scenario":
+    def from_dict(data: dict, base: "Scenario | None" = None) -> "Scenario":
         _require(isinstance(data, dict), "scenario", "must be a JSON object")
         names = [f.name for f in FIELDS]
         for key in data:
@@ -276,7 +277,11 @@ class Scenario:
         for f in FIELDS:
             if f.default is MISSING and f.default_factory is MISSING:
                 _require(f.name in data, f"scenario.{f.name}", "missing required field")
-        return Scenario(**_copy_jsonish(data), prebuilt=prebuilt)
+        # a base with the same d and observable rule, in JSON types too (2.0
+        # is not 2), lends its observables
+        same = base is not None and (json.dumps([data["d"], data["observables"]])
+                                     == json.dumps([base.d, base.observables]))
+        return Scenario(**_copy_jsonish(data), prebuilt=base._observables if same else None)
 
 
 #: the scenario document's fields in order, each required or with its default

@@ -221,6 +221,8 @@ def test_sweep_rejects_invalid_swept_value(scenario_file, capsys):
 @pytest.mark.parametrize("param, values, bad", [
     ("theta1", "0.5,-2", "-2"),  # fails scenario validation
     ("betting.cbce.slack", "0.001,5", "5"),  # fails when the runtime is built
+    # equals the base's rule 1 in Python, but is no integer: not the base's
+    ("observables.rotated", "1,1.0", "1.0"),
 ])
 def test_sweep_checks_every_value_before_running_any(param, values, bad, scenario_file,
                                                       tmp_path, capsys, monkeypatch):
@@ -326,8 +328,11 @@ def test_trials_summary_and_growth_share_the_scenario_runtime(policy, tmp_path, 
     # the echoed base and every value share the base's observables
     ("theta1", "0.5,0.8,1.0", 2),
     ("betting.cbce.grid", "8,16,32", 2),
-    # a swept d or rule builds each value's own
-    ("d", "2,2", 6),
+    # so does a swept d or rule equal to the base's
+    ("d", "2,2", 2),
+    # another rule builds its own
+    pytest.param("observables", '{"matrices": [[[0,0,0,1],[0,0,1,0],[0,1,0,0],[1,0,0,0]]]}',
+                 3, id="observables-XX-3"),
 ])
 def test_sweep_builds_observables_once(param, values, builds, tmp_path, capsys, monkeypatch):
     path = tmp_path / "scenario.json"
@@ -480,6 +485,8 @@ def test_slack_that_empties_the_interval_exits_2(command, tmp_path, capsys):
     ["sweep", "--param", "theta1", "--values", "0.5", "--parallelism", "0"],
     ["growth", "--shots", "0"],
     ["growth", "--shots", "-5"],
+    # growth seeds numpy with --seed as is, and numpy takes no negative seed
+    ["growth", "--seed", "-1"],
 ])
 def test_nonpositive_counts_exit_2(command, tmp_path, capsys):
     # d=4 is past local enumeration, so growth would take the Monte Carlo path
@@ -565,6 +572,17 @@ def test_cold_run_imports_neither_numpy_ma_nor_the_process_pool():
     src = str(Path(hz.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     script = f"BASE = {BASE!r}\n" + COLD_RUN
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_harness_imports_numpy_random():
+    # numpy 2 imports numpy.random lazily, which would charge a process's
+    # first trial 10-20 ms
+    src = str(Path(hz.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys, shadowcpd.harness; assert 'numpy.random' in sys.modules"
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
